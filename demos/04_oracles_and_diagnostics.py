@@ -41,7 +41,7 @@ print(f"  inconsistent b: dim span{{b, Ab, ...}} = {ell_inc}")
 print(f"  seed A b:       dim span{{Ab, A^2 b, ...}} = {m_inc}  (= {ell_inc} - 1)")
 
 print("\nThe solver detects the same closure step:")
-state = rk.arnoldi_init(A, b_inc, reorthogonalize=True)
+state = rk.arnoldi_init(A, b_inc)
 while rk.arnoldi_step(state, A) == "advanced":
     pass
 print(f"  orthogonalization breakdown at step {state.breakdown_step}")

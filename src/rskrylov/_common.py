@@ -16,6 +16,9 @@ from .operators import (
 )
 
 LIFT_TERMINATIONS = (CONVERGED, HAPPY_BREAKDOWN, SINGULAR_FINAL_SYSTEM)
+# A final residual counts as numerically in null(A) when
+# rho = |A r| |r0| / (|r| |A r0|) is at most this.
+LIFT_RHO = 1e-4
 
 
 class Histories:
@@ -46,6 +49,9 @@ def prepare(A, b, x0, opts, **overrides):
         x0 = np.zeros(A.n)
     else:
         x0 = as_vector(x0, A.n).copy()
+    for name, v in (("b", b), ("x0", x0)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} has non-finite entries")
     if np.any(x0):
         r0 = b - A.apply(x0)
     else:
@@ -60,36 +66,30 @@ def explicit_norms(A, b, x):
     return r, float(np.linalg.norm(r)), float(np.linalg.norm(ar))
 
 
-def maybe_lift(x, x0, r_final, res_floor, termination):
+def maybe_lift(A, b, hist, x, x0, r_final, res_floor, termination, arn=None):
     """Apply the rank-one lift when the run ended in the inconsistent
-    regime (finished, but with a residual above the convergence floor)."""
-    if termination not in LIFT_TERMINATIONS or r_final is None:
+    regime: finished, with a residual above the convergence floor that is
+    numerically in null(A), ``rho <= LIFT_RHO``.
+
+    A residual still partly in range(A) (a consistent run stopped by the
+    A-residual rule just short of the residual floor) is not lifted: the
+    lift would move a correct iterate along it.  ``r_final`` (``b - A x``)
+    and ``arn`` (``|A r_final|``) are recomputed when the driver passes
+    ``None`` (``arn`` also when ``inf``), one matvec each.  ``hist``
+    supplies ``|r0|`` and ``|A r0|``.
+    """
+    if termination not in LIFT_TERMINATIONS:
         return None
+    if r_final is None:
+        r_final = b - A.apply(x)
     rnorm = float(np.linalg.norm(r_final))
     if rnorm <= res_floor or rnorm == 0.0:
         return None
+    if arn is None or np.isinf(arn):
+        arn = float(np.linalg.norm(A.apply(r_final)))
+    if not arn * hist.res[0] <= LIFT_RHO * rnorm * hist.ares[0]:
+        return None
     return lift(x, x0, r_final)
-
-
-class HessBuffer:
-    """Growing dense copy of Hessenberg columns, used by the two-level
-    factorizations to form outer-factor columns with one gemv."""
-
-    def __init__(self):
-        self._H = np.zeros((3, 2))
-        self.cols = 0
-
-    def push(self, col):
-        rows = len(col)
-        if rows > self._H.shape[0] or self.cols + 1 > self._H.shape[1]:
-            grown = np.zeros((2 * rows, 2 * (self.cols + 1)))
-            grown[: self._H.shape[0], : self._H.shape[1]] = self._H
-            self._H = grown
-        self._H[:rows, self.cols] = col
-        self.cols += 1
-
-    def matvec(self, rows, q):
-        return self._H[:rows, : len(q)] @ q
 
 
 def build_report(

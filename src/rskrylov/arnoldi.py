@@ -1,4 +1,4 @@
-"""Arnoldi process with modified Gram-Schmidt.
+"""Arnoldi process with classical Gram-Schmidt, run twice (CGS2).
 
 Builds an orthonormal basis ``V_k`` of the Krylov subspace generated by an
 operator and a seed vector, together with the rectangular upper-Hessenberg
@@ -7,11 +7,18 @@ two seeds: the initial residual (GMRES, long-recurrence A-residual
 minimization) and the image of the initial residual under the operator
 (range-restricted methods).
 
+The basis is stored row-major, one basis vector per row, so each
+Gram-Schmidt pass is two BLAS-2 products over contiguous memory:
+``h = V w`` then ``w -= h V``.  The second pass removes what rounding left
+of the first ("twice is enough": Giraud, Langou & Rozloznik, Comput. Math.
+Appl. 50, 2005) and adds its coefficients to ``h``.
+
 A step whose new subdiagonal entry falls below
 ``breakdown_tol * max(1, ||A v_k||)`` is a happy breakdown: the subspace
 is invariant, the column is kept (with its tiny trailing entry) but no new
 basis vector is added, and ``breakdown_step`` records the subspace
-dimension.
+dimension.  The step that reaches dimension ``n`` is a breakdown too,
+whatever its trailing entry: ``n`` orthonormal vectors span the space.
 """
 
 from __future__ import annotations
@@ -41,18 +48,21 @@ class ArnoldiState:
     breakdown_step : int or None
         The step index at which the subspace closed (the maximal Krylov
         dimension for this seed), if it did.
+    reorthogonalize : bool
+        Always true: every step runs two Gram-Schmidt passes.
     """
 
-    def __init__(self, v1, seed_norm, breakdown_tol, reorthogonalize):
+    reorthogonalize = True
+
+    def __init__(self, v1, seed_norm, breakdown_tol):
         n = v1.shape[0]
-        self._V = np.empty((n, min(32, n + 1)))
-        self._V[:, 0] = v1
+        self._V = np.empty((min(32, n), n))
+        self._V[0] = v1
         self._columns = []
         self.n = n
         self.k = 0
         self.seed_norm = float(seed_norm)
         self.breakdown_tol = float(breakdown_tol)
-        self.reorthogonalize = bool(reorthogonalize)
         self.broke_down = False
         self.breakdown_step = None
 
@@ -61,14 +71,15 @@ class ArnoldiState:
         return self.k if self.broke_down else self.k + 1
 
     def basis(self, count=None):
-        """View of the first ``count`` orthonormal basis vectors."""
+        """View of the first ``count`` orthonormal basis vectors, as the
+        columns of an ``n x count`` matrix."""
         if count is None:
             count = self.basis_count
-        return self._V[:, :count]
+        return self._V[:count].T
 
     def vector(self, j):
         """The ``j``-th basis vector (0-based)."""
-        return self._V[:, j]
+        return self._V[j]
 
     def column(self, j):
         """The ``j``-th Hessenberg column (0-based, length ``j + 2``)."""
@@ -88,14 +99,14 @@ class ArnoldiState:
         return H
 
     def _ensure_capacity(self):
-        if self._V.shape[1] < self.basis_count:
-            width = min(max(2 * self._V.shape[1], self.basis_count), self.n + 1)
-            grown = np.empty((self.n, width))
-            grown[:, : self._V.shape[1]] = self._V
+        if self._V.shape[0] < self.basis_count:
+            height = min(max(2 * self._V.shape[0], self.basis_count), self.n)
+            grown = np.empty((height, self.n))
+            grown[: self._V.shape[0]] = self._V
             self._V = grown
 
 
-def arnoldi_init(A, seed, breakdown_tol=1e-13, reorthogonalize=False):
+def arnoldi_init(A, seed, breakdown_tol=1e-13):
     """Start an Arnoldi run from a seed vector.
 
     Raises :class:`ZeroSeedError` when the seed norm is at or below
@@ -109,7 +120,7 @@ def arnoldi_init(A, seed, breakdown_tol=1e-13, reorthogonalize=False):
     norm = float(np.linalg.norm(seed))
     if norm <= breakdown_tol:
         raise ZeroSeedError("seed vector is numerically zero (already solved)")
-    return ArnoldiState(seed / norm, norm, breakdown_tol, reorthogonalize)
+    return ArnoldiState(seed / norm, norm, breakdown_tol)
 
 
 def arnoldi_step(state, A):
@@ -118,7 +129,8 @@ def arnoldi_step(state, A):
     On a normal step the state gains one basis vector and one Hessenberg
     column.  On breakdown the column (with its tiny trailing entry) is
     still appended so that ``A V_l = V_l H_l`` holds, but no basis vector
-    is added and the state refuses further steps.
+    is added and the state refuses further steps.  The step that would
+    add basis vector ``n + 1`` is a breakdown.
     """
     if state.broke_down:
         raise RuntimeError("cannot step an Arnoldi process past its breakdown")
@@ -126,25 +138,19 @@ def arnoldi_step(state, A):
     k = state.k
     w = A.apply(state.vector(k))
     wnorm = float(np.linalg.norm(w))
-    col = np.empty(k + 2)
-    Vk = state.basis(k + 1)
-    for i in range(k + 1):
-        hik = float(Vk[:, i] @ w)
-        w -= hik * Vk[:, i]
-        col[i] = hik
-    if state.reorthogonalize:
-        for i in range(k + 1):
-            corr = float(Vk[:, i] @ w)
-            w -= corr * Vk[:, i]
-            col[i] += corr
+    Vk = state._V[: k + 1]
+    h = Vk @ w
+    w -= h @ Vk
+    corr = Vk @ w
+    w -= corr @ Vk
+    h += corr
     hnext = float(np.linalg.norm(w))
-    col[k + 1] = hnext
-    state._columns.append(col)
+    state._columns.append(np.append(h, hnext))
     state.k = k + 1
-    if hnext <= state.breakdown_tol * max(1.0, wnorm):
+    if hnext <= state.breakdown_tol * max(1.0, wnorm) or state.k == state.n:
         state.broke_down = True
         state.breakdown_step = state.k
         return "breakdown"
     state._ensure_capacity()
-    state._V[:, k + 1] = w / hnext
+    state._V[k + 1] = w / hnext
     return "advanced"

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._common import (
-    HessBuffer,
     Histories,
     build_report,
     explicit_norms,
@@ -35,20 +34,28 @@ from ._common import (
     prepare,
 )
 from .arnoldi import ZeroSeedError, arnoldi_init, arnoldi_step
-from .hessenberg_qr import BandedQr, HessenbergQr, SingularTriangularError
+from .hessenberg_qr import (
+    BandedQr,
+    ColumnBuffer,
+    HessenbergQr,
+    SingularTriangularError,
+)
 from .operators import CONVERGED, HAPPY_BREAKDOWN, MAXIT, SINGULAR_FINAL_SYSTEM
 
 __all__ = ["gmres_solve", "rrgmres_solve", "dgmres_solve"]
 
 
 class _CycleResult:
-    def __init__(self, x, r, termination, stop_rule, detected_ell, iters):
+    """Outcome of one cycle; ``arn`` is ``|A r|`` when the cycle has it."""
+
+    def __init__(self, x, r, termination, stop_rule, detected_ell, iters, arn=None):
         self.x = x
         self.r = r
         self.termination = termination
         self.stop_rule = stop_rule
         self.detected_ell = detected_ell
         self.iters = iters
+        self.arn = arn
 
 
 def _run_cycles(cycle, A, b, x0, r0, opts, hist, floors):
@@ -72,15 +79,18 @@ def _run_cycles(cycle, A, b, x0, r0, opts, hist, floors):
 
 
 def _finalize(method, A, b, x0, hist, floors, result, lift_enabled):
-    r_final = result.r
-    if (
-        lift_enabled
-        and r_final is None
-        and result.termination in (CONVERGED, HAPPY_BREAKDOWN, SINGULAR_FINAL_SYSTEM)
-    ):
-        r_final = b - A.apply(result.x)
     lifted = (
-        maybe_lift(result.x, x0, r_final, floors["res"], result.termination)
+        maybe_lift(
+            A,
+            b,
+            hist,
+            result.x,
+            x0,
+            result.r,
+            floors["res"],
+            result.termination,
+            result.arn,
+        )
         if lift_enabled
         else None
     )
@@ -96,6 +106,20 @@ def _finalize(method, A, b, x0, hist, floors, result, lift_enabled):
     )
 
 
+def _checked_convergence(A, b, xk, floors, k):
+    """Estimate-mode convergence, confirmed by the explicit residual.
+
+    Near subspace closure a degenerate subproblem can drive the estimate
+    below the floor while the iterate is far from any solution; an
+    explicit ``|r|`` above ten times the floor reports that as
+    ``singular_final_system``.
+    """
+    r = b - A.apply(xk)
+    if float(np.linalg.norm(r)) > 10.0 * floors["res"]:
+        return _CycleResult(xk, r, SINGULAR_FINAL_SYSTEM, None, None, k)
+    return _CycleResult(xk, r, CONVERGED, "residual", None, k)
+
+
 def _trivial_report(method, A, x0, beta1, hist):
     hist.append(beta1, 0.0, beta1, A.count)
     return build_report(
@@ -106,7 +130,7 @@ def _trivial_report(method, A, x0, beta1, hist):
 def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     beta1 = float(np.linalg.norm(r0))
     try:
-        state = arnoldi_init(A, r0, opts.breakdown_tol, opts.reorthogonalize)
+        state = arnoldi_init(A, r0, opts.breakdown_tol)
     except ZeroSeedError:
         return _CycleResult(x_in, r0, CONVERGED, "residual", None, 0)
     qr = HessenbergQr(beta1)
@@ -146,11 +170,13 @@ def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                 singular = True
             if not singular:
                 hist.append(rn, arn, tail, A.count)
-                return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, ell, k)
+                return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, ell, k, arn)
             if np.isinf(arn_lsq):
                 r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
             hist.append(rn_lsq, arn_lsq, tail, A.count)
-            return _CycleResult(x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, ell, k)
+            return _CycleResult(
+                x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, ell, k, arn_lsq
+            )
 
         if opts.record_explicit:
             try:
@@ -160,7 +186,7 @@ def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                     r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
                 hist.append(rn_lsq, arn_lsq, tail, A.count)
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k, arn_lsq
                 )
             xk = x_in + state.basis(k) @ z
             r, rn, arn = explicit_norms(A, b, xk)
@@ -168,22 +194,22 @@ def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                 # A clear residual increase contradicts the minimization
                 # property: the subproblem has degenerated numerically.
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1, arn_lsq
                 )
             hist.append(rn, arn, tail, A.count)
             x_best, r_best = xk, r
             if arn < arn_lsq:
                 x_lsq, r_lsq, rn_lsq, arn_lsq = xk, r, rn, arn
             if rn <= floors["res"]:
-                return _CycleResult(xk, r, CONVERGED, "residual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "residual", None, k, arn)
             if arn <= floors["ares"]:
-                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
         else:
             hist.append(tail, np.nan, tail, A.count)
             if tail <= floors["res"]:
                 z = qr.solve(k)
                 xk = x_in + state.basis(k) @ z
-                return _CycleResult(xk, None, CONVERGED, "residual", None, k)
+                return _checked_convergence(A, b, xk, floors, k)
 
     if opts.record_explicit:
         return _CycleResult(x_best, r_best, MAXIT, None, None, budget)
@@ -221,7 +247,7 @@ def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     beta1 = float(np.linalg.norm(r0))
     seed = A.apply(r0)
     try:
-        state = arnoldi_init(A, seed, opts.breakdown_tol, opts.reorthogonalize)
+        state = arnoldi_init(A, seed, opts.breakdown_tol)
     except ZeroSeedError:
         # A r0 vanishes: x_in already minimizes the residual over
         # x_in + range(A).
@@ -261,11 +287,13 @@ def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                 singular = True
             if not singular:
                 hist.append(rn, arn, est, A.count)
-                return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, m, k)
+                return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, m, k, arn)
             if np.isinf(arn_lsq):
                 r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
             hist.append(rn_lsq, arn_lsq, est, A.count)
-            return _CycleResult(x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, m, k)
+            return _CycleResult(
+                x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, m, k, arn_lsq
+            )
 
         if opts.record_explicit:
             try:
@@ -275,28 +303,28 @@ def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                     r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
                 hist.append(rn_lsq, arn_lsq, est, A.count)
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k, arn_lsq
                 )
             xk = x_in + state.basis(k) @ z
             r, rn, arn = explicit_norms(A, b, xk)
             if rn > hist.res[-1] * 2.0 + 1e-12 * beta1:
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1, arn_lsq
                 )
             hist.append(rn, arn, est, A.count)
             x_best, r_best = xk, r
             if arn < arn_lsq:
                 x_lsq, r_lsq, rn_lsq, arn_lsq = xk, r, rn, arn
             if rn <= floors["res"]:
-                return _CycleResult(xk, r, CONVERGED, "residual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "residual", None, k, arn)
             if arn <= floors["ares"]:
-                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
         else:
             hist.append(est, np.nan, est, A.count)
             if est <= floors["res"]:
                 z = qr.solve(k)
                 xk = x_in + state.basis(k) @ z
-                return _CycleResult(xk, None, CONVERGED, "residual", None, k)
+                return _checked_convergence(A, b, xk, floors, k)
 
     if opts.record_explicit:
         return _CycleResult(x_best, r_best, MAXIT, None, None, budget)
@@ -320,7 +348,7 @@ def _dgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     """
     seed = A.apply(r0)
     try:
-        state = arnoldi_init(A, seed, opts.breakdown_tol, opts.reorthogonalize)
+        state = arnoldi_init(A, seed, opts.breakdown_tol)
     except ZeroSeedError:
         if np.isnan(hist.ares[0]):
             hist.ares[0] = 0.0
@@ -335,7 +363,7 @@ def _dgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     if floors["ares"] is None:
         floors["ares"] = opts.tol * beta_hat
 
-    hbuf = HessBuffer()
+    hbuf = ColumnBuffer()
     arnoldi_step(state, A)
     hbuf.push(state.column(0))
     inner = HessenbergQr(beta_hat)
@@ -377,15 +405,16 @@ def _dgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                     None,
                     state.breakdown_step,
                     k - 1,
+                    arn_lsq,
                 )
             hist.append(rn, arn, 0.0, A.count)
             return _CycleResult(
-                xk, r, HAPPY_BREAKDOWN, None, state.breakdown_step, k
+                xk, r, HAPPY_BREAKDOWN, None, state.breakdown_step, k, arn
             )
 
         inner.append_column(state.column(k - 1), 0.0)
         q = inner.q_new_col
-        htcol = hbuf.matvec(k + 2, q)
+        htcol = hbuf.view(k + 2, k + 1) @ q
         t1, t2 = outer.append_column(htcol)
         rho = float(np.hypot(t1, t2))
 
@@ -395,21 +424,21 @@ def _dgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
             except SingularTriangularError:
                 hist.append(rn_lsq, arn_lsq, rho, A.count)
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k, arn_lsq
                 )
             r, rn, arn = explicit_norms(A, b, xk)
             if arn > hist.ares[-1] * 2.0 + 1e-12 * hist.ares[0]:
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1, arn_lsq
                 )
             hist.append(rn, arn, rho, A.count)
             x_best, r_best = xk, r
             if arn < arn_lsq:
                 x_lsq, r_lsq, rn_lsq, arn_lsq = xk, r, rn, arn
             if rn <= floors["res"]:
-                return _CycleResult(xk, r, CONVERGED, "residual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "residual", None, k, arn)
             if arn <= floors["ares"]:
-                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
         else:
             hist.append(np.nan, rho, rho, A.count)
             if rho <= floors["ares"]:

@@ -25,12 +25,54 @@ class SingularTriangularError(np.linalg.LinAlgError):
     subspace closure has no unique solution."""
 
 
+class ColumnBuffer:
+    """Matrix grown one column at a time inside a zero-filled array.
+
+    Column ``j`` holds the entries pushed for it and zeros below them.  The
+    array doubles along a dimension only when a push outgrows it, so
+    appending ``k`` columns copies ``O(k^2)`` entries in all.
+    """
+
+    def __init__(self):
+        self._a = np.zeros((8, 8))
+        self.cols = 0
+
+    def push(self, col):
+        rows = len(col)
+        cap_rows, cap_cols = self._a.shape
+        shape = (
+            cap_rows if rows <= cap_rows else max(2 * cap_rows, rows),
+            cap_cols if self.cols < cap_cols else 2 * cap_cols,
+        )
+        if shape != self._a.shape:
+            grown = np.zeros(shape)
+            grown[:cap_rows, :cap_cols] = self._a
+            self._a = grown
+        self._a[:rows, self.cols] = col
+        self.cols += 1
+
+    def view(self, rows, cols):
+        """The leading ``rows x cols`` block (a view, not a copy)."""
+        return self._a[:rows, :cols]
+
+
 def _givens(a, b):
     """Rotation (c, s) with [[c, s], [-s, c]] @ [a, b] = [r, 0], r >= 0."""
     r = float(np.hypot(a, b))
     if r == 0.0:
         return 1.0, 0.0, 0.0
     return a / r, b / r, r
+
+
+def _back_substitute(R, rhs):
+    """Solve the upper triangular system ``R z = rhs`` row by row."""
+    k = R.shape[0]
+    z = np.zeros(k)
+    rows = list(R)
+    diag = R.diagonal().tolist()
+    for i in range(k - 1, -1, -1):
+        z[i] = (rhs[i] - rows[i][i + 1 :] @ z[i + 1 :]) / diag[i]
+    return z
 
 
 def _solve_upper(R, rhs):
@@ -44,13 +86,54 @@ def _solve_upper(R, rhs):
             "triangular factor is numerically singular "
             f"(min diag {diag.min():.3e}, max diag {diag.max():.3e})"
         )
-    z = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        z[i] = (rhs[i] - R[i, i + 1 :] @ z[i + 1 :]) / R[i, i]
-    return z
+    return _back_substitute(R, rhs)
 
 
-class HessenbergQr:
+def _rotate_rows(col, rotations):
+    """Apply ``(row, c, s)`` rotations in order to a list of floats."""
+    for row, c, s in rotations:
+        ci, cip = col[row], col[row + 1]
+        col[row] = c * ci + s * cip
+        col[row + 1] = -s * ci + c * cip
+
+
+class _TriangularFactor:
+    """Storage of the ``k x k`` triangular factor shared by both QRs."""
+
+    def __init__(self):
+        self._r = ColumnBuffer()
+
+    @property
+    def k(self):
+        return self._r.cols
+
+    @property
+    def rcols(self):
+        """Columns of the triangular factor (column ``j`` has ``j + 1``
+        entries); assigning a list of columns replaces the factor."""
+        return [self._r.view(j + 1, j + 1)[:, j] for j in range(self.k)]
+
+    @rcols.setter
+    def rcols(self, cols):
+        self._r = ColumnBuffer()
+        for col in cols:
+            self._r.push(col)
+
+    def r_matrix(self, size=None):
+        """Dense triangular factor (leading ``size`` columns)."""
+        if size is None:
+            size = self.k
+        return self._r.view(size, size).copy()
+
+    def _solve(self, rhs, size):
+        if size is None:
+            size = self.k
+        return _solve_upper(
+            self._r.view(size, size), np.asarray(rhs[:size], dtype=np.float64)
+        )
+
+
+class HessenbergQr(_TriangularFactor):
     """Incremental QR of an upper-Hessenberg matrix with rotated RHS.
 
     Parameters
@@ -67,8 +150,8 @@ class HessenbergQr:
     """
 
     def __init__(self, rhs_seed):
+        super().__init__()
         self.rotations = []
-        self.rcols = []
         self.t = [float(rhs_seed)]
         self.rhs_norm = float(rhs_seed)
         # Last column of the implicit Q factor, updated per append; used
@@ -77,28 +160,28 @@ class HessenbergQr:
         self.q_new_col = None
 
     @property
-    def k(self):
-        return len(self.rcols)
-
-    @property
     def tail(self):
         return abs(self.t[-1])
+
+    def _rotate(self, vec):
+        """Apply the stored rotations in order to a list of floats."""
+        for i, (c, s) in enumerate(self.rotations):
+            vi, vip = vec[i], vec[i + 1]
+            vec[i] = c * vi + s * vip
+            vec[i + 1] = -s * vi + c * vip
 
     def append_column(self, column, rhs_append=0.0):
         """Append one Hessenberg column (length ``k + 2``) and one RHS
         entry; returns the new tail scalar ``|t[k+1]|``."""
         k = self.k
-        col = np.asarray(column, dtype=np.float64).copy()
-        if col.shape != (k + 2,):
-            raise ValueError(f"column has shape {col.shape}, expected ({k + 2},)")
-        for i, (c, s) in enumerate(self.rotations):
-            ci, cip = col[i], col[i + 1]
-            col[i] = c * ci + s * cip
-            col[i + 1] = -s * ci + c * cip
+        col = np.asarray(column, dtype=np.float64).tolist()
+        if len(col) != k + 2:
+            raise ValueError(f"column has length {len(col)}, expected {k + 2}")
+        self._rotate(col)
         c, s, r = _givens(col[k], col[k + 1])
         col[k] = r
         self.rotations.append((c, s))
-        self.rcols.append(col[: k + 1])
+        self._r.push(col[: k + 1])
         self.t.append(float(rhs_append))
         tk, tk1 = self.t[k], self.t[k + 1]
         self.t[k] = c * tk + s * tk1
@@ -111,15 +194,6 @@ class HessenbergQr:
         self.q_new_col = c * qpad + s * ek
         self._qlast = -s * qpad + c * ek
         return abs(self.t[k + 1])
-
-    def r_matrix(self, size=None):
-        """Dense triangular factor (leading ``size`` columns)."""
-        if size is None:
-            size = self.k
-        R = np.zeros((size, size))
-        for j in range(size):
-            R[: j + 1, j] = self.rcols[j]
-        return R
 
     def q_matrix(self):
         """Dense ``(k+1) x (k+1)`` orthogonal factor rebuilt from the
@@ -140,34 +214,25 @@ class HessenbergQr:
         spread exceeds the relative floor; GMRES maps that condition to a
         ``singular_final_system`` termination on inconsistent systems.
         """
-        if size is None:
-            size = self.k
-        R = self.r_matrix(size)
-        return _solve_upper(R, np.asarray(self.t[:size]))
+        return self._solve(self.t, size)
 
     def apply_rinv(self, rhs, size=None):
         """Solve ``R z = rhs`` for an arbitrary right-hand side (used by
         the two-level factorization to undo the inner factor)."""
-        if size is None:
-            size = self.k
-        return _solve_upper(self.r_matrix(size), np.asarray(rhs, dtype=np.float64))
+        return self._solve(rhs, size)
 
     def solve_rhs(self, rhs):
         """Least squares solve of the current factorization against an
         arbitrary dense right-hand side (padded with zeros to length
         ``k + 1``)."""
         k = self.k
-        g = np.zeros(k + 1)
-        rhs = np.asarray(rhs, dtype=np.float64)
-        g[: rhs.shape[0]] = rhs
-        for i, (c, s) in enumerate(self.rotations):
-            gi, gip = g[i], g[i + 1]
-            g[i] = c * gi + s * gip
-            g[i + 1] = -s * gi + c * gip
-        return _solve_upper(self.r_matrix(k), g[:k])
+        g = [0.0] * (k + 1)
+        g[: len(rhs)] = np.asarray(rhs, dtype=np.float64).tolist()
+        self._rotate(g)
+        return self._solve(g, k)
 
 
-class BandedQr:
+class BandedQr(_TriangularFactor):
     """Incremental QR for columns reaching two rows below the diagonal.
 
     Parameters
@@ -184,14 +249,10 @@ class BandedQr:
     """
 
     def __init__(self, rhs_seed):
+        super().__init__()
         a, b = rhs_seed
         self.rotations = []  # (row, c, s) acting on (row, row + 1), in order
-        self.rcols = []
         self.t = [float(a), float(b)]
-
-    @property
-    def k(self):
-        return len(self.rcols)
 
     @property
     def tail_pair(self):
@@ -199,13 +260,10 @@ class BandedQr:
 
     def append_column(self, column):
         k = self.k
-        col = np.asarray(column, dtype=np.float64).copy()
-        if col.shape != (k + 3,):
-            raise ValueError(f"column has shape {col.shape}, expected ({k + 3},)")
-        for row, c, s in self.rotations:
-            ci, cip = col[row], col[row + 1]
-            col[row] = c * ci + s * cip
-            col[row + 1] = -s * ci + c * cip
+        col = np.asarray(column, dtype=np.float64).tolist()
+        if len(col) != k + 3:
+            raise ValueError(f"column has length {len(col)}, expected {k + 3}")
+        _rotate_rows(col, self.rotations)
         new_rots = []
         # Zero the lowest entry first, then the one above it.
         for row in (k + 1, k):
@@ -214,21 +272,10 @@ class BandedQr:
             col[row + 1] = 0.0
             new_rots.append((row, c, s))
         self.rotations.extend(new_rots)
-        self.rcols.append(col[: k + 1])
+        self._r.push(col[: k + 1])
         self.t.append(0.0)
-        for row, c, s in new_rots:
-            ti, tip = self.t[row], self.t[row + 1]
-            self.t[row] = c * ti + s * tip
-            self.t[row + 1] = -s * ti + c * tip
+        _rotate_rows(self.t, new_rots)
         return abs(self.t[k + 1]), abs(self.t[k + 2])
-
-    def r_matrix(self, size=None):
-        if size is None:
-            size = self.k
-        R = np.zeros((size, size))
-        for j in range(size):
-            R[: j + 1, j] = self.rcols[j]
-        return R
 
     def q_matrix(self):
         """Dense ``(k+2) x (k+2)`` orthogonal factor for verification."""
@@ -242,7 +289,4 @@ class BandedQr:
         return Q.T
 
     def solve(self, size=None):
-        if size is None:
-            size = self.k
-        R = self.r_matrix(size)
-        return _solve_upper(R, np.asarray(self.t[:size]))
+        return self._solve(self.t, size)

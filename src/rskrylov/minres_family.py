@@ -63,7 +63,7 @@ def minres_solve(A, b, x0=None, opts=None, **options):
     w_km1 = np.zeros(A.n)
     w_km2 = np.zeros(A.n)
     x = x0.copy()
-    r_final = None
+    r_final = arn_final = None
     x_lsq, r_lsq, arn_lsq = None, None, np.inf
     polish_left = None
     tscale = 0.0
@@ -90,7 +90,7 @@ def minres_solve(A, b, x0=None, opts=None, **options):
             # Singular square tridiagonal at subspace closure: the best
             # iterate seen is the terminal least squares solution.
             if x_lsq is not None:
-                x, r_final = x_lsq, r_lsq
+                x, r_final, arn_final = x_lsq, r_lsq, arn_lsq
             termination = SINGULAR_FINAL_SYSTEM
             ell = k
             break
@@ -110,11 +110,14 @@ def minres_solve(A, b, x0=None, opts=None, **options):
                 # A clear residual increase contradicts the minimization
                 # property: the recurrence has degenerated (effective
                 # subspace closure); keep the best iterate seen.
-                x, r_final = (x_lsq, r_lsq) if x_lsq is not None else (x_prev, r_final)
+                if x_lsq is not None:
+                    x, r_final, arn_final = x_lsq, r_lsq, arn_lsq
+                else:
+                    x = x_prev
                 termination = SINGULAR_FINAL_SYSTEM
                 break
             hist.append(rn, arn, res_est, A.count)
-            r_final = r
+            r_final, arn_final = r, arn
             if arn < arn_lsq:
                 x_lsq, r_lsq, arn_lsq = x, r, arn
             if rn <= res_floor:
@@ -126,7 +129,7 @@ def minres_solve(A, b, x0=None, opts=None, **options):
                 if polish_left is None:
                     polish_left = 8
                 elif arn > arn_lsq or polish_left <= 0:
-                    x, r_final = x_lsq, r_lsq
+                    x, r_final, arn_final = x_lsq, r_lsq, arn_lsq
                     termination, stop_rule = CONVERGED, "aresidual"
                     break
                 polish_left -= 1
@@ -148,13 +151,11 @@ def minres_solve(A, b, x0=None, opts=None, **options):
 
     if polish_left is not None and termination in (MAXIT, HAPPY_BREAKDOWN):
         # the monitor certified convergence during the polish phase
-        x, r_final = x_lsq, r_lsq
+        x, r_final, arn_final = x_lsq, r_lsq, arn_lsq
         termination, stop_rule = CONVERGED, "aresidual"
-    lifted = None
-    if termination in (CONVERGED, HAPPY_BREAKDOWN, SINGULAR_FINAL_SYSTEM):
-        if r_final is None:
-            r_final = b - A.apply(x)
-        lifted = maybe_lift(x, x0, r_final, res_floor, termination)
+    lifted = maybe_lift(
+        A, b, hist, x, x0, r_final, res_floor, termination, arn_final
+    )
     return build_report(
         "minres", x, lifted, hist, A.count, termination, stop_rule, ell
     )
@@ -197,7 +198,7 @@ def minares1_solve(A, b, x0=None, opts=None, callback=None, **options):
     eta_km2 = 0.0
     beta_k = beta_hat
     x = x0.copy()
-    r_final = None
+    r_final = arn_final = None
     tscale = 0.0
     termination, stop_rule, ell = MAXIT, None, None
 
@@ -240,7 +241,7 @@ def minares1_solve(A, b, x0=None, opts=None, callback=None, **options):
                 termination = SINGULAR_FINAL_SYSTEM
                 break
             hist.append(rn, arn, rho, A.count)
-            r_final = r
+            r_final, arn_final = r, arn
             if rn <= res_floor:
                 termination, stop_rule = CONVERGED, "residual"
                 break
@@ -268,11 +269,9 @@ def minares1_solve(A, b, x0=None, opts=None, callback=None, **options):
         lam_tilde_km1 = lam_tilde_k
         eta_km2 = eta_km1
 
-    lifted = None
-    if termination in (CONVERGED, HAPPY_BREAKDOWN, SINGULAR_FINAL_SYSTEM):
-        if r_final is None:
-            r_final = b - A.apply(x)
-        lifted = maybe_lift(x, x0, r_final, res_floor, termination)
+    lifted = maybe_lift(
+        A, b, hist, x, x0, r_final, res_floor, termination, arn_final
+    )
     return build_report(
         "minares", x, lifted, hist, A.count, termination, stop_rule, ell
     )

@@ -148,8 +148,6 @@ class SolveOptions:
     breakdown_tol : float
         Threshold below which an Arnoldi/Lanczos continuation vector is
         declared zero (happy breakdown).
-    reorthogonalize : bool
-        Run a second modified Gram-Schmidt pass per Arnoldi step.
     record_explicit : bool
         Recompute ``r_k = b - A x_k`` and ``A r_k`` every iteration and
         record their true norms (two extra matvecs per iteration).  When
@@ -161,7 +159,6 @@ class SolveOptions:
     maxit: int | None = None
     restart: int | None = None
     breakdown_tol: float = 1e-13
-    reorthogonalize: bool = False
     record_explicit: bool = True
 
     def __post_init__(self):

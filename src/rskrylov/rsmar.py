@@ -29,35 +29,34 @@ from __future__ import annotations
 import numpy as np
 
 from ._common import (
-    HessBuffer,
     Histories,
     explicit_norms,
     prepare,
 )
 from .arnoldi import ZeroSeedError, arnoldi_init, arnoldi_step
 from .gmres_family import _CycleResult, _finalize, _run_cycles, _trivial_report
-from .hessenberg_qr import BandedQr, HessenbergQr, SingularTriangularError
+from .hessenberg_qr import (
+    BandedQr,
+    ColumnBuffer,
+    HessenbergQr,
+    SingularTriangularError,
+    _back_substitute,
+)
 from .operators import CONVERGED, HAPPY_BREAKDOWN, MAXIT, SINGULAR_FINAL_SYSTEM
 
 __all__ = ["rsmar1_solve", "rsmar2_solve"]
 
 
-def _rsmar1_reconstruct(state, qr, x_in, r0, beta_hat, k):
+def _rsmar1_reconstruct(state, qr, change, x_in, r0, k):
     """Map the hat-space solution back through the change of basis.
 
     Solves the two stacked triangular systems: the projected subproblem
-    for ``zhat`` and then ``[bhat1 e1, Hhat_{k,k-1}] y = zhat``, and
-    returns ``x_in + [r0, Vhat_{k-1}] y``.
+    for ``zhat`` and then ``[bhat1 e1, Hhat_{k,k-1}] y = zhat``, whose
+    columns ``change`` collects as the run goes, and returns
+    ``x_in + [r0, Vhat_{k-1}] y``.
     """
     zhat = qr.solve(k)
-    Rt = np.zeros((k, k))
-    Rt[0, 0] = beta_hat
-    for j in range(1, k):
-        col = state.column(j - 1)
-        Rt[: j + 1, j] = col
-    y = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        y[i] = (zhat[i] - Rt[i, i + 1 :] @ y[i + 1 :]) / Rt[i, i]
+    y = _back_substitute(change.view(k, k), zhat)
     x = x_in + y[0] * r0
     if k > 1:
         x = x + state.basis(k - 1) @ y[1:]
@@ -67,7 +66,7 @@ def _rsmar1_reconstruct(state, qr, x_in, r0, beta_hat, k):
 def _rsmar1_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     seed = A.apply(r0)
     try:
-        state = arnoldi_init(A, seed, opts.breakdown_tol, opts.reorthogonalize)
+        state = arnoldi_init(A, seed, opts.breakdown_tol)
     except ZeroSeedError:
         if np.isnan(hist.ares[0]):
             hist.ares[0] = 0.0
@@ -82,12 +81,15 @@ def _rsmar1_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     if floors["ares"] is None:
         floors["ares"] = opts.tol * beta_hat
     qr = HessenbergQr(beta_hat)
+    change = ColumnBuffer()
+    change.push([beta_hat])
     x_best = x_in
     r_best = None
     x_lsq, r_lsq, rn_lsq, arn_lsq = x_in, r0, float(np.linalg.norm(r0)), beta_hat
     for k in range(1, budget + 1):
         outcome = arnoldi_step(state, A)
         col = state.column(k - 1)
+        change.push(col)
         rho = qr.append_column(col, 0.0)
 
         if outcome == "breakdown":
@@ -96,7 +98,7 @@ def _rsmar1_cycle(A, b, x_in, r0, opts, budget, floors, hist):
             m = state.breakdown_step
             singular = False
             try:
-                xk = _rsmar1_reconstruct(state, qr, x_in, r0, beta_hat, k)
+                xk = _rsmar1_reconstruct(state, qr, change, x_in, r0, k)
                 r, rn, arn = explicit_norms(A, b, xk)
                 singular = (
                     arn > hist.ares[-1] * (1.0 + 1e-6) + 1e-12 * beta_hat
@@ -105,41 +107,43 @@ def _rsmar1_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                 singular = True
             if not singular:
                 hist.append(rn, arn, rho, A.count)
-                return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, m, k)
+                return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, m, k, arn)
             hist.append(rn_lsq, arn_lsq, rho, A.count)
-            return _CycleResult(x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, m, k)
+            return _CycleResult(
+                x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, m, k, arn_lsq
+            )
 
         if opts.record_explicit:
             try:
-                xk = _rsmar1_reconstruct(state, qr, x_in, r0, beta_hat, k)
+                xk = _rsmar1_reconstruct(state, qr, change, x_in, r0, k)
             except SingularTriangularError:
                 hist.append(rn_lsq, arn_lsq, rho, A.count)
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k, arn_lsq
                 )
             r, rn, arn = explicit_norms(A, b, xk)
             if arn > hist.ares[-1] * 2.0 + 1e-12 * beta_hat:
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1, arn_lsq
                 )
             hist.append(rn, arn, rho, A.count)
             x_best, r_best = xk, r
             if arn < arn_lsq:
                 x_lsq, r_lsq, rn_lsq, arn_lsq = xk, r, rn, arn
             if rn <= floors["res"]:
-                return _CycleResult(xk, r, CONVERGED, "residual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "residual", None, k, arn)
             if arn <= floors["ares"]:
-                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
         else:
             hist.append(np.nan, rho, rho, A.count)
             if rho <= floors["ares"]:
-                xk = _rsmar1_reconstruct(state, qr, x_in, r0, beta_hat, k)
+                xk = _rsmar1_reconstruct(state, qr, change, x_in, r0, k)
                 return _CycleResult(xk, None, CONVERGED, "aresidual", None, k)
 
     if opts.record_explicit:
         return _CycleResult(x_best, r_best, MAXIT, None, None, budget)
     try:
-        xk = _rsmar1_reconstruct(state, qr, x_in, r0, beta_hat, qr.k)
+        xk = _rsmar1_reconstruct(state, qr, change, x_in, r0, qr.k)
     except SingularTriangularError:
         xk = x_in.copy()
     return _CycleResult(xk, None, MAXIT, None, None, budget)
@@ -148,10 +152,10 @@ def _rsmar1_cycle(A, b, x_in, r0, opts, budget, floors, hist):
 def _rsmar2_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     beta1 = float(np.linalg.norm(r0))
     try:
-        state = arnoldi_init(A, r0, opts.breakdown_tol, opts.reorthogonalize)
+        state = arnoldi_init(A, r0, opts.breakdown_tol)
     except ZeroSeedError:
         return _CycleResult(x_in, r0, CONVERGED, "residual", None, 0)
-    hbuf = HessBuffer()
+    hbuf = ColumnBuffer()
     arnoldi_step(state, A)
     col1 = state.column(0)
     hbuf.push(col1)
@@ -204,15 +208,16 @@ def _rsmar2_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                     None,
                     state.breakdown_step,
                     k - 1,
+                    arn_lsq,
                 )
             hist.append(rn, arn, 0.0, A.count)
             return _CycleResult(
-                xk, r, HAPPY_BREAKDOWN, None, state.breakdown_step, k
+                xk, r, HAPPY_BREAKDOWN, None, state.breakdown_step, k, arn
             )
 
         inner.append_column(state.column(k - 1), 0.0)
         q = inner.q_new_col
-        htcol = hbuf.matvec(k + 2, q)
+        htcol = hbuf.view(k + 2, k + 1) @ q
         t1, t2 = outer.append_column(htcol)
         rho = float(np.hypot(t1, t2))
 
@@ -222,21 +227,21 @@ def _rsmar2_cycle(A, b, x_in, r0, opts, budget, floors, hist):
             except SingularTriangularError:
                 hist.append(rn_lsq, arn_lsq, rho, A.count)
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k, arn_lsq
                 )
             r, rn, arn = explicit_norms(A, b, xk)
             if arn > hist.ares[-1] * 2.0 + 1e-12 * hist.ares[0]:
                 return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1
+                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1, arn_lsq
                 )
             hist.append(rn, arn, rho, A.count)
             x_best, r_best = xk, r
             if arn < arn_lsq:
                 x_lsq, r_lsq, rn_lsq, arn_lsq = xk, r, rn, arn
             if rn <= floors["res"]:
-                return _CycleResult(xk, r, CONVERGED, "residual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "residual", None, k, arn)
             if arn <= floors["ares"]:
-                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k)
+                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
         else:
             hist.append(np.nan, rho, rho, A.count)
             if rho <= floors["ares"]:

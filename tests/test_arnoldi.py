@@ -84,7 +84,7 @@ def test_breakdown_matches_oracle_dimension(builder, seed_rng):
     rng = np.random.default_rng(seed_rng)
     A = builder(rng)
     v = rng.standard_normal(A.shape[0])
-    state = run_arnoldi(A, v, reorthogonalize=True)
+    state = run_arnoldi(A, v)
     detected = state.breakdown_step if state.broke_down else state.k
     assert detected == rk.krylov_max_dim(A, v)
 
@@ -113,7 +113,7 @@ def test_hat_hessenberg_nonsingular_at_breakdown(seed):
     )
     rng = np.random.default_rng(seed + 50)
     r0 = rng.standard_normal(16)
-    state = run_arnoldi(A, A @ r0, reorthogonalize=True)
+    state = run_arnoldi(A, A @ r0)
     assert state.broke_down
     m = state.breakdown_step
     Hm = state.hessenberg(cols=m, rows=m)
@@ -129,7 +129,7 @@ def test_residual_seed_square_hessenberg_singular_when_inconsistent(seed):
     rng = np.random.default_rng(seed + 60)
     b = rng.standard_normal(16)
     b = b + 0.0  # generic b has a null-space component
-    state = run_arnoldi(A, b, reorthogonalize=True)
+    state = run_arnoldi(A, b)
     assert state.broke_down
     ell = state.breakdown_step
     Hl = state.hessenberg(cols=ell, rows=ell)
@@ -160,7 +160,7 @@ def test_full_rank_breakdown_matches_oracle_at_n40():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((40, 40))
     v = rng.standard_normal(40)
-    state = run_arnoldi(A, v, reorthogonalize=True)
+    state = run_arnoldi(A, v)
     detected = state.breakdown_step if state.broke_down else state.k
     assert detected == 40 == rk.krylov_max_dim(A, v)
 
@@ -171,7 +171,7 @@ def test_reorthogonalize_improves_basis():
     A, _ = rk.make_random_range_symmetric(rk.RandomSpec(n=n, rank=30, cond=1e4, seed=1))
     v = rng.standard_normal(n)
     plain = run_arnoldi(A, v, steps=25)
-    reorth = run_arnoldi(A, v, steps=25, reorthogonalize=True)
+    reorth = run_arnoldi(A, v, steps=25)
 
     def ortho_defect(state):
         V = state.basis(state.basis_count)
@@ -179,3 +179,28 @@ def test_reorthogonalize_improves_basis():
 
     assert ortho_defect(reorth) <= ortho_defect(plain) + 1e-15
     assert ortho_defect(reorth) <= 1e-12
+
+
+def test_step_reaching_dimension_n_is_breakdown():
+    # n orthonormal vectors span the space: the step that would add vector
+    # n + 1 closes the subspace whatever its rounded trailing entry
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((5, 5))
+    v = rng.standard_normal(5)
+    state = arnoldi_init(A, v, breakdown_tol=1e-300)
+    outcomes = [arnoldi_step(state, A) for _ in range(5)]
+    assert outcomes == ["advanced"] * 4 + ["breakdown"]
+    assert state.breakdown_step == 5
+    assert state.basis_count == 5
+    rep = rk.gmres_solve(A, v, breakdown_tol=1e-300, tol=1e-30)
+    assert rep.detected_ell == 5
+    assert np.linalg.norm(A @ rep.solution - v) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_basis_stays_orthonormal_on_grid():
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=20, d=10.0))
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    state = run_arnoldi(A, v, steps=150)
+    assert state.k == 150 and not state.broke_down
+    V = state.basis()
+    assert np.linalg.norm(np.eye(V.shape[1]) - V.T @ V) <= 1e-12

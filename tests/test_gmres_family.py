@@ -323,3 +323,19 @@ def test_gmres_degenerate_closure_returns_best_iterate():
     xstar = Ap @ b
     assert rep.lifted_solution is not None
     assert np.linalg.norm(rep.lifted_solution - xstar) <= 1e-6 * np.linalg.norm(xstar)
+
+
+@pytest.mark.parametrize("method", ["gmres", "rrgmres"])
+def test_estimate_mode_convergence_confirmed_by_explicit_residual(method):
+    # On this inconsistent grid system the residual estimate of both
+    # methods falls below the floor near subspace closure while the
+    # iterate is far from any least squares solution.
+    spec = rk.BvpSpec(m=20, d=10.0)
+    A = rk.make_bvp_matrix(spec)
+    b = rk.make_bvp_rhs(spec, "inconsistent_xy")
+    tol = 1e-8
+    rep = rk.SOLVERS[method](A, b, tol=tol, maxit=400, record_explicit=False)
+    rn = np.linalg.norm(b - A @ rep.solution)
+    assert rep.termination != rk.HAPPY_BREAKDOWN
+    if rep.termination == rk.CONVERGED:
+        assert rn <= 10 * tol * np.linalg.norm(b)

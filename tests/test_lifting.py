@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rskrylov as rk
+from conftest import make_suite_instance
 from rskrylov import lift
 
 
@@ -75,4 +76,28 @@ def test_skew_symmetric_terminal_iterate_needs_no_lift(seed):
         correction = np.linalg.norm(rep.lifted_solution - x)
         assert correction <= 1e-10 * np.linalg.norm(x)
     xstar = rk.pseudoinverse_solve(A, b)
+    assert np.linalg.norm(x - xstar) <= 1e-7 * np.linalg.norm(xstar)
+
+
+def test_consistent_stop_short_of_residual_floor_is_not_lifted():
+    # minares stops on the A-residual rule with |r| just above the residual
+    # floor; that residual still lies in range(A), and lifting along it
+    # would move a correct answer away from A^+ b
+    inst = make_suite_instance(29)
+    rep = rk.minares1_solve(inst["A"], inst["b_cons"], tol=1e-12, maxit=80)
+    xstar = inst["pinv"] @ inst["b_cons"]
+    if rep.lifted_solution is not None:
+        err = np.linalg.norm(rep.lifted_solution - xstar) / np.linalg.norm(xstar)
+        assert err <= 1e-7
+
+
+@pytest.mark.parametrize("method", ["gmres", "rsmar1", "rsmar2"])
+def test_grid_consistent_answer_is_pseudoinverse_solution(method):
+    # the grid solves that stop on the A-residual rule keep their answer
+    spec = rk.BvpSpec(m=17, d=10.0)
+    A = rk.make_bvp_matrix(spec)
+    b = rk.make_bvp_rhs(spec, "consistent_random", 0, A)
+    rep = rk.SOLVERS[method](A, b, tol=1e-12, maxit=400)
+    x = rep.lifted_solution if rep.lifted_solution is not None else rep.solution
+    xstar = rk.pseudoinverse_solve(A.toarray(), b)
     assert np.linalg.norm(x - xstar) <= 1e-7 * np.linalg.norm(xstar)

@@ -104,3 +104,13 @@ def test_report_iterations_property():
     rep = rk.gmres_solve(np.eye(2), np.array([1.0, 2.0]))
     assert rep.iterations == len(rep.residual_history) - 1
     assert rep.matvec_count == rep.matvec_history[-1]
+
+
+@pytest.mark.parametrize("method", sorted(rk.SOLVERS))
+@pytest.mark.parametrize("where", ["b", "x0"])
+def test_non_finite_input_rejected(method, where):
+    A = np.diag([1.0, 2.0, 0.0])
+    vectors = {"b": np.ones(3), "x0": np.zeros(3)}
+    vectors[where][1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        rk.SOLVERS[method](A, vectors["b"], x0=vectors["x0"])
