@@ -259,8 +259,9 @@ def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
         hist.ares[0] = beta_hat
     if floors["ares"] is None:
         floors["ares"] = opts.tol * beta_hat
-    qr = HessenbergQr(float(state.vector(0) @ r0))
-    gnorm2 = qr.rhs_norm**2
+    g0 = float(state.vector(0) @ r0)
+    qr = HessenbergQr(g0)
+    gnorm2 = g0 * g0
     x_best = x_in
     r_best = None
     x_lsq, r_lsq, rn_lsq, arn_lsq = x_in, r0, beta1, np.inf

@@ -11,6 +11,19 @@ append there applies exactly two new rotations.
 Rotations use the convention ``[[c, s], [-s, c]]`` with signs chosen so
 every diagonal entry of ``R`` is nonnegative, which makes the factors
 deterministic.
+
+Both factors also keep ``W = R^{-1}``, extended lazily: a solve of size
+``k`` when ``W`` holds ``k - 1`` columns first appends column ``k`` as
+``[-W r / rho; 1 / rho]`` (``r`` and ``rho`` the new column of ``R`` above
+and on the diagonal), one matrix-vector product, and then returns
+``W z``.  A driver that solves after every append (explicit monitoring)
+therefore pays two BLAS-2 products per solve.  A solve that finds ``W``
+more than one column behind (a driver that solves only once, at the end)
+back-substitutes row by row instead and leaves ``W`` as it is, so a
+single final solve costs no inverse at all and keeps the rounding of back
+substitution.  Du Croz & Higham, "Stability of methods for matrix
+inversion", IMA J. Numer. Anal. 12 (1992), analyse building a triangular
+inverse one column at a time.
 """
 
 from __future__ import annotations
@@ -75,20 +88,6 @@ def _back_substitute(R, rhs):
     return z
 
 
-def _solve_upper(R, rhs):
-    """Back substitution with a relative singularity guard on the diagonal."""
-    k = R.shape[0]
-    if k == 0:
-        return np.zeros(0)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= 1e-14 * diag.max():
-        raise SingularTriangularError(
-            "triangular factor is numerically singular "
-            f"(min diag {diag.min():.3e}, max diag {diag.max():.3e})"
-        )
-    return _back_substitute(R, rhs)
-
-
 def _rotate_rows(col, rotations):
     """Apply ``(row, c, s)`` rotations in order to a list of floats."""
     for row, c, s in rotations:
@@ -98,10 +97,12 @@ def _rotate_rows(col, rotations):
 
 
 class _TriangularFactor:
-    """Storage of the ``k x k`` triangular factor shared by both QRs."""
+    """Storage of the ``k x k`` triangular factor shared by both QRs, and
+    of its inverse as far as solves have needed it."""
 
     def __init__(self):
         self._r = ColumnBuffer()
+        self._w = ColumnBuffer()
 
     @property
     def k(self):
@@ -116,6 +117,7 @@ class _TriangularFactor:
     @rcols.setter
     def rcols(self, cols):
         self._r = ColumnBuffer()
+        self._w = ColumnBuffer()
         for col in cols:
             self._r.push(col)
 
@@ -126,11 +128,28 @@ class _TriangularFactor:
         return self._r.view(size, size).copy()
 
     def _solve(self, rhs, size):
+        """Solve ``R[:size, :size] z = rhs[:size]``, raising
+        :class:`SingularTriangularError` when the relative diagonal spread
+        is below the floor."""
         if size is None:
             size = self.k
-        return _solve_upper(
-            self._r.view(size, size), np.asarray(rhs[:size], dtype=np.float64)
-        )
+        rhs = np.asarray(rhs[:size], dtype=np.float64)
+        if size == 0:
+            return np.zeros(0)
+        R = self._r.view(size, size)
+        diag = np.abs(R.diagonal())
+        if diag.min() <= 1e-14 * diag.max():
+            raise SingularTriangularError(
+                "triangular factor is numerically singular "
+                f"(min diag {diag.min():.3e}, max diag {diag.max():.3e})"
+            )
+        j = self._w.cols
+        if j == size - 1:
+            rho = R[j, j]
+            self._w.push(np.append(self._w.view(j, j) @ R[:j, j] / -rho, 1.0 / rho))
+        if self._w.cols >= size:
+            return self._w.view(size, size) @ rhs
+        return _back_substitute(R, rhs)
 
 
 class HessenbergQr(_TriangularFactor):
@@ -153,7 +172,6 @@ class HessenbergQr(_TriangularFactor):
         super().__init__()
         self.rotations = []
         self.t = [float(rhs_seed)]
-        self.rhs_norm = float(rhs_seed)
         # Last column of the implicit Q factor, updated per append; used
         # by the second-level factorization.
         self._qlast = np.array([1.0])
@@ -208,7 +226,7 @@ class HessenbergQr(_TriangularFactor):
         return Q.T
 
     def solve(self, size=None):
-        """Solve ``R z = t[:size]`` by back substitution.
+        """Solve ``R z = t[:size]``.
 
         Raises :class:`SingularTriangularError` when the leading diagonal
         spread exceeds the relative floor; GMRES maps that condition to a

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rskrylov as rk
@@ -312,6 +314,45 @@ def test_success_tag_implies_aresidual_floor(method, seed):
     if rep.termination in (rk.CONVERGED, rk.HAPPY_BREAKDOWN):
         ares = np.linalg.norm(A @ (b - A @ rep.solution))
         assert ares <= 1e-6 * np.linalg.norm(A @ b), rep.termination
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    n=st.integers(10, 60),
+    rank_share=st.floats(0.25, 0.95),
+    log_cond=st.floats(1.0, 6.0),
+    seed=st.integers(0, 10**6),
+    tol=st.sampled_from([1e-8, 1e-10, 1e-13]),
+)
+def test_success_tag_implies_aresidual_floor_on_random_systems(
+    n, rank_share, log_cond, seed, tol
+):
+    # no long-recurrence method may report success with an explicit
+    # A-residual above the floor, on consistent or inconsistent systems
+    rank = min(n - 1, max(1, round(rank_share * n)))
+    A, _, b_cons, b_inc = make_inconsistent(seed, n=n, rank=rank, cond=10**log_cond)
+    for b in (b_cons, b_inc):
+        ares0 = np.linalg.norm(A @ b)
+        for method in ("gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2"):
+            rep = rk.SOLVERS[method](A, b, tol=tol, maxit=4 * n)
+            if rep.termination in (rk.CONVERGED, rk.HAPPY_BREAKDOWN):
+                ares = np.linalg.norm(A @ (b - A @ rep.solution))
+                assert ares <= 1e-6 * ares0, (method, rep.termination)
+
+
+@pytest.mark.parametrize("method", ["gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2"])
+def test_restarted_run_stagnates_honestly_on_inconsistent_system(method):
+    # Ten-step cycles on this inconsistent system stall at |A r|/|A r0|
+    # of 0.11-0.36.  The run must say so (maxit) and must not lift an
+    # iterate that is not a least squares solution.
+    A, _, _, b = make_inconsistent(1, n=40, rank=30)
+    rep = rk.SOLVERS[method](
+        A, b, opts=rk.SolveOptions(tol=1e-8, maxit=400, restart=10)
+    )
+    assert rep.termination == rk.MAXIT
+    assert rep.lifted_solution is None
+    ares = np.linalg.norm(A @ (b - A @ rep.solution))
+    assert ares > 1e-2 * np.linalg.norm(A @ b)
 
 
 def test_gmres_degenerate_closure_returns_best_iterate():

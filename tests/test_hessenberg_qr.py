@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import rskrylov as rk
 from rskrylov import BandedQr, HessenbergQr, SingularTriangularError
+from rskrylov.hessenberg_qr import _back_substitute
 
 
 def hessenberg_from_arnoldi(A, seed, steps):
@@ -114,6 +115,74 @@ def test_solve_singular_guard():
     qr.rotations = [(1.0, 0.0), (1.0, 0.0)]
     with pytest.raises(SingularTriangularError):
         qr.solve()
+
+
+def test_solve_zero_pivot_raises_singular_error():
+    for cols in ([np.array([0.0])], [np.array([1.0]), np.array([0.5, 0.0])]):
+        qr = HessenbergQr(1.0)
+        qr.rcols = cols
+        qr.t = [1.0] * (len(cols) + 1)
+        with pytest.raises(SingularTriangularError):
+            qr.solve()
+        with pytest.raises(SingularTriangularError):
+            qr.apply_rinv(np.ones(len(cols)))
+
+
+def _growing_factors(seed, k=30):
+    """``(factor, columns)`` pairs: a HessenbergQr with Arnoldi columns and
+    a BandedQr with random two-subdiagonal columns."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((40, 40))
+    cols = hessenberg_from_arnoldi(A, rng.standard_normal(40), k)
+    M = np.triu(rng.standard_normal((k + 2, k)), -2) + 4.0 * np.eye(k + 2, k)
+    return [
+        (HessenbergQr(1.0), cols),
+        (BandedQr((1.0, 0.5)), [M[: j + 3, j] for j in range(k)]),
+    ]
+
+
+def _assert_close_rel(z, ref):
+    assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_after_every_append_matches_back_substitution(seed):
+    rng = np.random.default_rng(seed + 500)
+    for qr, cols in _growing_factors(seed):
+        for k, col in enumerate(cols, start=1):
+            qr.append_column(col)
+            R = qr.r_matrix()
+            _assert_close_rel(qr.solve(k), _back_substitute(R, np.asarray(qr.t[:k])))
+            if isinstance(qr, HessenbergQr):
+                rhs = rng.standard_normal(k)
+                _assert_close_rel(qr.apply_rinv(rhs, k), _back_substitute(R, rhs))
+        # a leading block of the inverse solves a leading block of R
+        size = qr.k // 2
+        _assert_close_rel(
+            qr.solve(size),
+            _back_substitute(qr.r_matrix(size), np.asarray(qr.t[:size])),
+        )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_single_final_solve_is_back_substitution(seed):
+    for qr, cols in _growing_factors(seed):
+        for col in cols:
+            qr.append_column(col)
+        ref = _back_substitute(qr.r_matrix(), np.asarray(qr.t[: qr.k]))
+        assert np.array_equal(qr.solve(), ref)
+
+
+def test_assigning_rcols_discards_inverse():
+    qr = HessenbergQr(1.0)
+    qr.append_column([2.0, 1.0])
+    qr.solve()
+    qr.append_column([1.0, 3.0, 1.0])
+    qr.solve()
+    qr.rcols = [np.array([1.0]), np.array([1.0, 2.0])]
+    qr.t = [3.0, 4.0, 0.0]
+    assert_allclose(qr.solve(), [1.0, 2.0])
+    assert_allclose(qr.apply_rinv([2.0, 2.0]), [1.0, 1.0])
 
 
 def test_banded_first_column_identity_case():
