@@ -92,6 +92,14 @@ def maybe_lift(A, b, hist, x, x0, r_final, res_floor, termination, arn=None):
     return lift(x, x0, r_final)
 
 
+def _trivial_report(method, A, x0, beta1, hist):
+    """Report of a run whose initial residual is already at the floor."""
+    hist.append(beta1, 0.0, beta1, A.count)
+    return build_report(
+        method, x0, None, hist, A.count, CONVERGED, "residual", None
+    )
+
+
 def build_report(
     method,
     x,

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._common import (
     Histories,
+    _trivial_report,
     build_report,
     explicit_norms,
     maybe_lift,
@@ -38,6 +39,7 @@ from .hessenberg_qr import (
     BandedQr,
     ColumnBuffer,
     HessenbergQr,
+    HessenbergQrWithQ,
     SingularTriangularError,
 )
 from .operators import CONVERGED, HAPPY_BREAKDOWN, MAXIT, SINGULAR_FINAL_SYSTEM
@@ -118,13 +120,6 @@ def _checked_convergence(A, b, xk, floors, k):
     if float(np.linalg.norm(r)) > 10.0 * floors["res"]:
         return _CycleResult(xk, r, SINGULAR_FINAL_SYSTEM, None, None, k)
     return _CycleResult(xk, r, CONVERGED, "residual", None, k)
-
-
-def _trivial_report(method, A, x0, beta1, hist):
-    hist.append(beta1, 0.0, beta1, A.count)
-    return build_report(
-        method, x0, None, hist, A.count, CONVERGED, "residual", None
-    )
 
 
 def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
@@ -367,7 +362,7 @@ def _dgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     hbuf = ColumnBuffer()
     arnoldi_step(state, A)
     hbuf.push(state.column(0))
-    inner = HessenbergQr(beta_hat)
+    inner = HessenbergQrWithQ(beta_hat)
     outer = BandedQr((beta_hat, 0.0))
     x_best = x_in
     r_best = None

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SingularTriangularError", "HessenbergQr", "BandedQr"]
+__all__ = ["SingularTriangularError", "HessenbergQr", "HessenbergQrWithQ", "BandedQr"]
 
 
 class SingularTriangularError(np.linalg.LinAlgError):
@@ -172,10 +172,6 @@ class HessenbergQr(_TriangularFactor):
         super().__init__()
         self.rotations = []
         self.t = [float(rhs_seed)]
-        # Last column of the implicit Q factor, updated per append; used
-        # by the second-level factorization.
-        self._qlast = np.array([1.0])
-        self.q_new_col = None
 
     @property
     def tail(self):
@@ -204,13 +200,6 @@ class HessenbergQr(_TriangularFactor):
         tk, tk1 = self.t[k], self.t[k + 1]
         self.t[k] = c * tk + s * tk1
         self.t[k + 1] = -s * tk + c * tk1
-        # Q_{k+1} e_{k+1} = c * [qlast; 0] + s * e_{k+2} and the running
-        # last column becomes -s * [qlast; 0] + c * e_{k+2}.
-        qpad = np.append(self._qlast, 0.0)
-        ek = np.zeros(k + 2)
-        ek[k + 1] = 1.0
-        self.q_new_col = c * qpad + s * ek
-        self._qlast = -s * qpad + c * ek
         return abs(self.t[k + 1])
 
     def q_matrix(self):
@@ -248,6 +237,34 @@ class HessenbergQr(_TriangularFactor):
         g[: len(rhs)] = np.asarray(rhs, dtype=np.float64).tolist()
         self._rotate(g)
         return self._solve(g, k)
+
+
+class HessenbergQrWithQ(HessenbergQr):
+    """:class:`HessenbergQr` that also tracks columns of the orthogonal
+    factor, for the second factorization level of rsmar2 and dgmres.
+
+    After each append, ``q_new_col`` is column ``k`` of ``Q_{k+1}`` (the
+    combination of Hessenberg columns that the new triangular column
+    stands for).
+    """
+
+    def __init__(self, rhs_seed):
+        super().__init__(rhs_seed)
+        self._qlast = np.array([1.0])
+        self.q_new_col = None
+
+    def append_column(self, column, rhs_append=0.0):
+        tail = super().append_column(column, rhs_append)
+        k = self.k - 1
+        c, s = self.rotations[-1]
+        # Q_{k+1} e_{k+1} = c * [qlast; 0] + s * e_{k+2} and the running
+        # last column becomes -s * [qlast; 0] + c * e_{k+2}.
+        qpad = np.append(self._qlast, 0.0)
+        ek = np.zeros(k + 2)
+        ek[k + 1] = 1.0
+        self.q_new_col = c * qpad + s * ek
+        self._qlast = -s * qpad + c * ek
+        return tail
 
 
 class BandedQr(_TriangularFactor):

@@ -2,12 +2,30 @@
 
 The reader handles ``coordinate real`` matrices in ``general`` or
 ``symmetric`` layout (symmetric files mirror their off-diagonal entries),
-converts the 1-based indices, and sums duplicate entries.  Parse errors
-carry the offending line number.  Only square matrices are accepted; the
-``pattern`` and ``complex`` fields are rejected.
+converts the 1-based indices, and sums duplicate entries.  Only square
+matrices are accepted; the ``pattern`` and ``complex`` fields are
+rejected.
+
+The header and the size line are read line by line.  The entry lines
+after them are parsed in one pass by numpy's text parser into index and
+value arrays, and every check (three fields per line, integer indices,
+1-based indices in range, as many entries as the size line announces)
+runs on those arrays.  Only when the parse or a check fails does a
+locator scan the entry lines one at a time, to raise the error for the
+first offending line with its ``path:lineno:`` prefix.  A ``%`` after the
+first field of an entry line is an error, not a trailing comment.
+Numbers are read as numpy reads them, so Python-only spellings such as
+``1_000`` are rejected.
+
+The writer formats every entry with the shortest decimal that
+round-trips (``repr``), so a write followed by a read reproduces the
+matrix bit for bit.
 """
 
 from __future__ import annotations
+
+import io
+import warnings
 
 import numpy as np
 
@@ -20,6 +38,9 @@ __all__ = [
     "read_vector",
     "write_vector",
 ]
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_WRITE_BLOCK = 1 << 14  # entries formatted per write
 
 
 class MatrixMarketError(ValueError):
@@ -75,42 +96,88 @@ def read_matrix_market(path):
             raise MatrixMarketError(
                 f"{path}:{lineno}: matrix must be square, got {nrows} x {ncols}"
             )
+        body = fh.read()
 
-        rows, cols, vals = [], [], []
-        seen = 0
-        for line in fh:
-            lineno += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise MatrixMarketError(
-                    f"{path}:{lineno}: expected 'i j value', got {stripped!r}"
-                )
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                v = float(parts[2])
-            except ValueError as exc:
-                raise MatrixMarketError(f"{path}:{lineno}: bad entry: {exc}")
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise MatrixMarketError(
-                    f"{path}:{lineno}: index ({i}, {j}) out of range for "
-                    f"{nrows} x {ncols} matrix (indices are 1-based)"
-                )
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(v)
-            if symmetry == "symmetric" and i != j:
-                rows.append(j - 1)
-                cols.append(i - 1)
-                vals.append(v)
-            seen += 1
-        if seen != nnz:
-            raise MatrixMarketError(
-                f"{path}: header announced {nnz} entries, found {seen}"
-            )
+    try:
+        entries = _parse_entries(body)
+    except (ValueError, OverflowError, DeprecationWarning) as exc:
+        _raise_first_error(path, body, lineno, nrows, nnz, exc)
+    rows, cols, vals = entries["i"] - 1, entries["j"] - 1, entries["v"]
+    in_range = _in_range(rows, nrows) and _in_range(cols, nrows)
+    if len(entries) != nnz or not in_range:
+        _raise_first_error(path, body, lineno, nrows, nnz, None)
+    if symmetry == "symmetric":
+        off = rows != cols
+        rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))
+        vals = np.concatenate((vals, vals[off]))
     return sparse_from_triplets(nrows, rows, cols, vals)
+
+
+def _parse_entries(body):
+    """The entry lines of ``body`` as one structured array ``(i, j, v)``."""
+    if _has_inline_percent(body):
+        raise ValueError("'%' after the first field of an entry line")
+    with warnings.catch_warnings():
+        # A body without entries (nnz = 0) is valid.
+        warnings.simplefilter("ignore", UserWarning)
+        # numpy 1.23-1.26 read an index such as 1.5 as the integer 1 and
+        # only warn that this is deprecated.
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(io.StringIO(body), dtype=_ENTRY, comments="%", ndmin=1)
+
+
+def _has_inline_percent(body):
+    """Whether a ``%`` follows other text on its line: np.loadtxt would
+    drop the rest of such a line as a comment, which the format does not
+    allow.  Costs one search per comment line."""
+    pos = body.find("%")
+    while pos >= 0:
+        start = body.rfind("\n", 0, pos) + 1
+        if body[start:pos].strip():
+            return True
+        end = body.find("\n", pos)
+        if end < 0:
+            return False
+        pos = body.find("%", end)
+    return False
+
+
+def _in_range(index, n):
+    """Whether every 0-based ``index`` lies in ``[0, n)``."""
+    return index.size == 0 or (index.min() >= 0 and index.max() < n)
+
+
+def _raise_first_error(path, body, lineno, n, nnz, cause):
+    """Raise the error of the first entry line of ``body`` (whose first
+    line is ``lineno + 1``) that breaks the format, or else the count
+    mismatch; ``cause`` is the array parser's own error, if any."""
+    seen = 0
+    for lineno, line in enumerate(body.split("\n"), start=lineno + 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise MatrixMarketError(
+                f"{path}:{lineno}: expected 'i j value', got {stripped!r}"
+            )
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            float(parts[2])
+        except ValueError as exc:
+            raise MatrixMarketError(f"{path}:{lineno}: bad entry: {exc}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise MatrixMarketError(
+                f"{path}:{lineno}: index ({i}, {j}) out of range for "
+                f"{n} x {n} matrix (indices are 1-based)"
+            )
+        seen += 1
+    if seen != nnz:
+        raise MatrixMarketError(
+            f"{path}: header announced {nnz} entries, found {seen}"
+        )
+    # Every line passes the rules above, but numpy's parser refused one.
+    raise MatrixMarketError(f"{path}: bad entries: {cause}")
 
 
 def write_matrix_market(path, A, comment=None):
@@ -124,8 +191,14 @@ def write_matrix_market(path, A, comment=None):
             for line in str(comment).splitlines():
                 fh.write(f"% {line}\n")
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        # One string per block of entries, so the Python objects of only
+        # one block are alive at a time.
+        for start in range(0, coo.nnz, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            rows = (coo.row[block].astype(np.int64) + 1).tolist()
+            cols = (coo.col[block].astype(np.int64) + 1).tolist()
+            vals = coo.data[block].astype(np.float64).tolist()
+            fh.write("".join(f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, vals)))
 
 
 def read_vector(path):

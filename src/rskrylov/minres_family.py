@@ -23,6 +23,7 @@ import numpy as np
 
 from ._common import (
     Histories,
+    _trivial_report,
     build_report,
     explicit_norms,
     maybe_lift,
@@ -31,11 +32,6 @@ from ._common import (
 from .operators import CONVERGED, HAPPY_BREAKDOWN, MAXIT, SINGULAR_FINAL_SYSTEM
 
 __all__ = ["minres_solve", "minares1_solve"]
-
-
-def _trivial(method, A, x0, beta1, hist):
-    hist.append(beta1, 0.0, beta1, A.count)
-    return build_report(method, x0, None, hist, A.count, CONVERGED, "residual", None)
 
 
 def minres_solve(A, b, x0=None, opts=None, **options):
@@ -48,7 +44,7 @@ def minres_solve(A, b, x0=None, opts=None, **options):
     hist = Histories()
     beta1 = float(np.linalg.norm(r0))
     if beta1 <= opts.breakdown_tol:
-        return _trivial("minres", A, x0, beta1, hist)
+        return _trivial_report("minres", A, x0, beta1, hist)
     hist.append(beta1, np.nan, beta1, A.count)
     maxit = opts.maxit if opts.maxit is not None else A.n
     res_floor = opts.tol * beta1
@@ -174,7 +170,7 @@ def minares1_solve(A, b, x0=None, opts=None, callback=None, **options):
     hist = Histories()
     beta1 = float(np.linalg.norm(r0))
     if beta1 <= opts.breakdown_tol:
-        return _trivial("minares", A, x0, beta1, hist)
+        return _trivial_report("minares", A, x0, beta1, hist)
     ar0 = A.apply(r0)
     beta_hat = float(np.linalg.norm(ar0))
     hist.append(beta1, beta_hat, beta_hat, A.count)

@@ -30,15 +30,17 @@ import numpy as np
 
 from ._common import (
     Histories,
+    _trivial_report,
     explicit_norms,
     prepare,
 )
 from .arnoldi import ZeroSeedError, arnoldi_init, arnoldi_step
-from .gmres_family import _CycleResult, _finalize, _run_cycles, _trivial_report
+from .gmres_family import _CycleResult, _finalize, _run_cycles
 from .hessenberg_qr import (
     BandedQr,
     ColumnBuffer,
     HessenbergQr,
+    HessenbergQrWithQ,
     SingularTriangularError,
     _back_substitute,
 )
@@ -168,7 +170,7 @@ def _rsmar2_cycle(A, b, x_in, r0, opts, budget, floors, hist):
         floors["ares"] = opts.tol * beta_hat
     if beta_hat <= opts.breakdown_tol:
         return _CycleResult(x_in, r0, CONVERGED, "aresidual", None, 0)
-    inner = HessenbergQr(beta1)
+    inner = HessenbergQrWithQ(beta1)
     outer = BandedQr((beta1 * col1[0], beta1 * col1[1]))
     x_best = x_in
     r_best = None

@@ -76,6 +76,147 @@ def test_duplicates_summed(tmp_path):
     assert A[0, 0] == 5.0
 
 
+GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def _read_error(tmp_path, text):
+    """Read ``text`` as a Matrix Market file; return the file name and the
+    message of the MatrixMarketError it raises."""
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    return str(path), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "body, lineno, wording",
+    [
+        ("1 1 1.0\n2 2 abc\n", 4, "bad entry: could not convert string to float: 'abc'"),
+        ("1 1 1.0\n1.5 2 3.0\n", 4, "bad entry: invalid literal for int() with base 10: '1.5'"),
+        ("1 1 1.0\n1 2\n", 4, "expected 'i j value', got '1 2'"),
+        ("1 2 3 4\n1 1 1.0\n", 3, "expected 'i j value', got '1 2 3 4'"),
+        ("1 1 1.0\n1 2 3.0 % note\n", 4, "expected 'i j value', got '1 2 3.0 % note'"),
+        ("0 1 1.0\n2 2 1.0\n", 3, "index (0, 1) out of range for 3 x 3 matrix (indices are 1-based)"),
+        ("1 1 1.0\n2 4 1.0\n", 4, "index (2, 4) out of range for 3 x 3 matrix (indices are 1-based)"),
+        (
+            "1 1 1.0\n99999999999999999999999 1 1.0\n",
+            4,
+            "index (99999999999999999999999, 1) out of range for 3 x 3 matrix (indices are 1-based)",
+        ),
+    ],
+    ids=[
+        "non-numeric",
+        "non-integer-index",
+        "two-tokens",
+        "four-tokens",
+        "trailing-comment",
+        "index-zero",
+        "index-above-n",
+        "index-beyond-int64",
+    ],
+)
+def test_malformed_entry_reports_its_line(tmp_path, body, lineno, wording):
+    path, msg = _read_error(tmp_path, GENERAL + "3 3 2\n" + body)
+    assert msg == f"{path}:{lineno}: {wording}"
+
+
+def test_first_of_two_malformed_lines_is_reported(tmp_path):
+    # line 5 is out of range, line 6 is not a number: line 5 comes first
+    _, msg = _read_error(tmp_path, GENERAL + "3 3 4\n1 1 1.0\n2 2 1.0\n9 1 1.0\n1 x 1.0\n")
+    assert ":5: index (9, 1) out of range" in msg
+    _, msg = _read_error(tmp_path, GENERAL + "3 3 4\n1 1 1.0\n2 2 x\n9 1 1.0\n")
+    assert ":4: bad entry" in msg
+
+
+@pytest.mark.parametrize("nnz, found", [(3, 2), (1, 2)])
+def test_entry_count_mismatch(tmp_path, nnz, found):
+    path, msg = _read_error(tmp_path, GENERAL + f"3 3 {nnz}\n1 1 1.0\n% c\n2 2 1.0\n")
+    assert msg == f"{path}: header announced {nnz} entries, found {found}"
+
+
+def test_comment_and_blank_lines_keep_line_numbers(tmp_path):
+    text = (
+        GENERAL
+        + "% before the size line\n"  # line 2
+        + "\n"  # 3
+        + "3 3 3\n"  # 4
+        + "1 1 1.0\n"  # 5
+        + "% between entries\n"  # 6
+        + "\n"  # 7
+        + "   \n"  # 8
+        + "2 3 -2.5\n"  # 9
+        + "  % indented comment\n"  # 10
+        + "3 2 x\n"  # 11
+    )
+    _, msg = _read_error(tmp_path, text)
+    assert ":11: bad entry" in msg
+    path = tmp_path / "ok.mtx"
+    path.write_text(text.replace("3 2 x", "3 2 0.5"))
+    A = read_matrix_market(path)
+    assert A.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, -2.5], [0.0, 0.5, 0.0]]
+
+
+def test_read_empty_matrix(tmp_path):
+    path = tmp_path / "z.mtx"
+    path.write_text(GENERAL + "% no entries\n4 4 0\n% still none\n\n")
+    A = read_matrix_market(path)
+    assert A.shape == (4, 4)
+    assert A.nnz == 0
+
+
+def test_read_symmetric_diagonal_once_and_duplicates_summed(tmp_path):
+    path = tmp_path / "s.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "3 3 6\n"
+        "1 1 2.0\n"
+        "2 1 3.0\n"
+        "3 3 -1.0\n"
+        "2 1 0.5\n"
+        "3 3 -0.25\n"
+        "3 1 7.0\n"
+    )
+    A = read_matrix_market(path)
+    expected = [[2.0, 3.5, 7.0], [3.5, 0.0, 0.0], [7.0, 0.0, -1.25]]
+    assert A.toarray().tolist() == expected
+    assert A.nnz == 6  # two diagonal and four mirrored positions
+    assert A.has_sorted_indices
+
+
+def test_write_matches_golden_bytes(tmp_path):
+    A = np.array([[1e-300, 0.0, -2.5], [0.0, 5e-324, 0.0], [-1.0, 0.1, 3.0]])
+    path = tmp_path / "w.mtx"
+    write_matrix_market(path, A, comment="first line\nsecond line")
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real general\n"
+        b"% first line\n"
+        b"% second line\n"
+        b"3 3 6\n"
+        b"1 1 1e-300\n"
+        b"1 3 -2.5\n"
+        b"2 2 5e-324\n"
+        b"3 1 -1.0\n"
+        b"3 2 0.1\n"
+        b"3 3 3.0\n"
+    )
+
+
+def test_write_read_roundtrip_is_exact(tmp_path):
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(7)
+    A = sp.random(60, 60, density=0.05, format="csr", random_state=rng)
+    A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-300, 300, A.nnz)
+    path = tmp_path / "r.mtx"
+    write_matrix_market(path, A)
+    B = read_matrix_market(path)
+    A.sort_indices()
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert A.data.tobytes() == B.data.tobytes()
+
+
 def test_vector_roundtrip(tmp_path):
     v = np.array([1.0, -2.5, 3e-17, np.pi])
     path = tmp_path / "v.txt"
