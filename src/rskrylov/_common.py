@@ -36,6 +36,15 @@ class Histories:
         self.est.append(float(est))
         self.mv.append(int(mv))
 
+    def end_at(self, row, rn, arn, mv):
+        """Drop the rows after ``row`` and give it explicit norms (its
+        estimate stays)."""
+        for log in (self.res, self.ares, self.est, self.mv):
+            del log[row + 1 :]
+        self.res[row] = float(rn)
+        self.ares[row] = float(arn)
+        self.mv[row] = int(mv)
+
 
 def prepare(A, b, x0, opts, **overrides):
     """Normalize the solver inputs and compute the initial residual."""

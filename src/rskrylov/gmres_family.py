@@ -20,13 +20,23 @@ the signature of an inconsistent system: the best least squares iterate
 seen (smallest explicit A-residual norm) is returned as
 ``singular_final_system``, and GMRES applies the rank-one lift to it to
 recover the minimum-norm least squares solution.
+
+Without explicit monitoring (``record_explicit=False``) GMRES and RRGMRES
+stop on a matvec-free estimate of the A-residual norm of the previous
+iterate, available one Arnoldi step late, and return a best iterate that
+has been checked explicitly whenever the estimates cannot be trusted
+(:class:`_EstimateMonitor`).  DGMRES minimizes the A-residual itself, so
+its recurrence value is the estimate.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ._common import (
+    LIFT_RHO,
     Histories,
     _trivial_report,
     build_report,
@@ -108,18 +118,129 @@ def _finalize(method, A, b, x0, hist, floors, result, lift_enabled):
     )
 
 
-def _checked_convergence(A, b, xk, floors, k):
-    """Estimate-mode convergence, confirmed by the explicit residual.
+class _Probe(NamedTuple):
+    """An iterate rebuilt and checked explicitly."""
 
-    Near subspace closure a degenerate subproblem can drive the estimate
-    below the floor while the iterate is far from any solution; an
-    explicit ``|r|`` above ten times the floor reports that as
-    ``singular_final_system``.
+    j: int
+    x: np.ndarray | None
+    r: np.ndarray | None
+    rn: float
+    arn: float
+
+
+class _EstimateMonitor:
+    """Stopping rules of the gmres and rrgmres cycles in estimate mode.
+
+    The cycle hands in, one Arnoldi step late and without a matvec, an
+    estimate of ``|A r_j|`` for iterate ``j = k - 1`` (:meth:`check`, at
+    step ``k``); the residual estimate of that iterate is the last history
+    row.  Any iterate ``j`` is rebuilt as ``x_in + V_j qr.solve(j)``,
+    because the leading parts of ``R`` and ``t`` never change.
+
+    * A-residual rule: an estimate at ``tol |A r0|`` is confirmed by one
+      explicit ``|A r|``; at most ten times the floor ends ``converged``.
+    * Floor rule: an estimate above ten times the smallest one, while the
+      best iterate's residual is numerically in null(A)
+      (``rho <= LIFT_RHO``), means the iterates have left the attainable
+      floor: past it GMRES diverges by several times per step, while
+      before it ``|A r|`` (which neither method minimizes) can rise a few
+      times and fall again.
+    * Residual rule: a residual estimate at ``tol |r0|`` is confirmed by
+      one explicit ``|r|``; a failed confirmation switches the rule off
+      for the rest of the cycle (near closure a degenerate subproblem, or
+      cancellation in the estimate, can fool it).
+
+    A failed A-residual confirmation, the floor rule and a singular
+    closure end the cycle through :meth:`fallback`.  The history ends at
+    the returned iterate, its row made explicit.
     """
-    r = b - A.apply(xk)
-    if float(np.linalg.norm(r)) > 10.0 * floors["res"]:
-        return _CycleResult(xk, r, SINGULAR_FINAL_SYSTEM, None, None, k)
-    return _CycleResult(xk, r, CONVERGED, "residual", None, k)
+
+    def __init__(self, A, b, x_in, r0, state, qr, floors, hist):
+        self.A, self.b, self.x_in, self.r0 = A, b, x_in, r0
+        self.state, self.qr = state, qr
+        self.floors, self.hist = floors, hist
+        self.row0 = len(hist.res) - 1  # history row of iterate 0
+        self.hess = ColumnBuffer()  # Hessenberg columns, for the estimates
+        self.ares = []  # A-residual estimate of each iterate
+        self.best = np.inf  # smallest A-residual estimate, of iterate best_j
+        self.best_j = 0
+        self.best_res = np.inf  # residual estimate of iterate best_j
+        self.residual_rule = True
+
+    def _iterate(self, j):
+        return self.x_in + self.state.basis(j) @ self.qr.solve(j)
+
+    def _explicit(self, j):
+        """Iterate ``j`` checked explicitly (two matvecs); an iterate behind
+        a singular triangular factor gets infinite norms."""
+        try:
+            x = self._iterate(j)
+        except SingularTriangularError:
+            return _Probe(j, None, None, np.inf, np.inf)
+        return _Probe(j, x, *explicit_norms(self.A, self.b, x))
+
+    def _end(self, p, termination, stop_rule, ell):
+        self.hist.end_at(self.row0 + p.j, p.rn, p.arn, self.A.count)
+        return _CycleResult(p.x, p.r, termination, stop_rule, ell, p.j, p.arn)
+
+    def check(self, k, aest):
+        """A-residual and floor rules for iterate ``k - 1``."""
+        j = k - 1
+        self.ares.append(aest)
+        if aest < self.best:
+            self.best, self.best_j, self.best_res = aest, j, self.hist.est[-1]
+        if aest <= self.floors["ares"]:
+            p = self._explicit(j)
+            if p.arn <= 10.0 * self.floors["ares"]:
+                return self._end(p, CONVERGED, "aresidual", None)
+            return self.fallback(None, p)
+        if aest > 10.0 * self.best and (
+            self.best * self.hist.res[0]
+            <= LIFT_RHO * self.best_res * self.hist.ares[0]
+        ):
+            return self.fallback(None)
+        return None
+
+    def residual(self, k, est):
+        """Residual rule for iterate ``k``, whose history row is the last."""
+        if not self.residual_rule or est > self.floors["res"]:
+            return None
+        try:
+            x = self._iterate(k)
+        except SingularTriangularError:
+            self.residual_rule = False
+            return None
+        r = self.b - self.A.apply(x)
+        rn = float(np.linalg.norm(r))
+        if rn > 10.0 * self.floors["res"]:
+            self.residual_rule = False
+            return None
+        return self._end(_Probe(k, x, r, rn, np.nan), CONVERGED, "residual", None)
+
+    def fallback(self, ell, probe=None):
+        """``singular_final_system`` with the best-estimate iterate, checked
+        explicitly.  When its explicit ``|A r|`` is above ten times its
+        estimate, the estimates had drifted from the true values before
+        it: bisect for the last iterate whose explicit value still agrees
+        with its estimate, and return the smallest explicit value seen."""
+        j = self.best_j
+        if probe is None or probe.j != j:
+            probe = self._explicit(j)
+        probes = [probe]
+        if probe.arn > 10.0 * self.ares[j]:
+            r0n = float(np.linalg.norm(self.r0))
+            probes.append(_Probe(0, self.x_in, self.r0, r0n, self.ares[0]))
+            lo, hi = 0, j
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                probe = self._explicit(mid)
+                probes.append(probe)
+                if probe.arn <= 10.0 * self.ares[mid]:
+                    lo = mid
+                else:
+                    hi = mid
+        best = min(probes, key=lambda p: p.arn)
+        return self._end(best, SINGULAR_FINAL_SYSTEM, None, ell)
 
 
 def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
@@ -128,7 +249,12 @@ def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
         state = arnoldi_init(A, r0, opts.breakdown_tol)
     except ZeroSeedError:
         return _CycleResult(x_in, r0, CONVERGED, "residual", None, 0)
-    qr = HessenbergQr(beta1)
+    if opts.record_explicit:
+        qr = HessenbergQr(beta1)
+        monitor = None
+    else:
+        qr = HessenbergQrWithQ(beta1)
+        monitor = _EstimateMonitor(A, b, x_in, r0, state, qr, floors, hist)
     x_best = x_in
     r_best = r0
     # best least squares candidate seen so far (smallest explicit |A r|);
@@ -137,6 +263,8 @@ def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     for k in range(1, budget + 1):
         outcome = arnoldi_step(state, A)
         col = state.column(k - 1)
+        if monitor is not None:
+            q_prev, t_prev = qr.q_last, qr.t[-1]
         tail = qr.append_column(col, 0.0)
         if k == 1:
             beta_hat = beta1 * float(np.linalg.norm(col))
@@ -144,6 +272,14 @@ def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                 floors["ares"] = opts.tol * beta_hat
             if np.isnan(hist.ares[0]):
                 hist.ares[0] = beta_hat
+        if monitor is not None:
+            # r_{k-1} = t_prev V_k q_prev, so A r_{k-1} = t_prev V_{k+1} H q_prev
+            monitor.hess.push(col)
+            hq = monitor.hess.view(k + 1, k) @ q_prev
+            done = monitor.check(k, abs(t_prev) * float(np.linalg.norm(hq)))
+            if done is not None:
+                return done
+            arn_lsq = monitor.best  # what the closure guard compares with
 
         if outcome == "breakdown":
             ell = state.breakdown_step
@@ -166,6 +302,8 @@ def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
             if not singular:
                 hist.append(rn, arn, tail, A.count)
                 return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, ell, k, arn)
+            if monitor is not None:
+                return monitor.fallback(ell)
             if np.isinf(arn_lsq):
                 r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
             hist.append(rn_lsq, arn_lsq, tail, A.count)
@@ -201,10 +339,9 @@ def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                 return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
         else:
             hist.append(tail, np.nan, tail, A.count)
-            if tail <= floors["res"]:
-                z = qr.solve(k)
-                xk = x_in + state.basis(k) @ z
-                return _checked_convergence(A, b, xk, floors, k)
+            done = monitor.residual(k, tail)
+            if done is not None:
+                return done
 
     if opts.record_explicit:
         return _CycleResult(x_best, r_best, MAXIT, None, None, budget)
@@ -257,6 +394,9 @@ def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
     g0 = float(state.vector(0) @ r0)
     qr = HessenbergQr(g0)
     gnorm2 = g0 * g0
+    monitor = None
+    if not opts.record_explicit:
+        monitor = _EstimateMonitor(A, b, x_in, r0, state, qr, floors, hist)
     x_best = x_in
     r_best = None
     x_lsq, r_lsq, rn_lsq, arn_lsq = x_in, r0, beta1, np.inf
@@ -267,6 +407,19 @@ def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
         tail = qr.append_column(col, gk)
         gnorm2 += gk * gk
         est = np.sqrt(max(tail**2 + beta1**2 - gnorm2, 0.0))
+        if monitor is not None:
+            # A r_{k-1} = V_{k+1} (beta_hat e1 - H_{k+1,k} H_{k,k-1} y_{k-1})
+            monitor.hess.push(col)
+            try:
+                y = qr.solve(k - 1)
+            except SingularTriangularError:
+                return monitor.fallback(None)
+            w = monitor.hess.view(k + 1, k) @ (monitor.hess.view(k, k - 1) @ y)
+            w[0] -= beta_hat
+            done = monitor.check(k, float(np.linalg.norm(w)))
+            if done is not None:
+                return done
+            arn_lsq = monitor.best  # what the closure guard compares with
 
         if outcome == "breakdown":
             m = state.breakdown_step
@@ -284,6 +437,8 @@ def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
             if not singular:
                 hist.append(rn, arn, est, A.count)
                 return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, m, k, arn)
+            if monitor is not None:
+                return monitor.fallback(m)
             if np.isinf(arn_lsq):
                 r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
             hist.append(rn_lsq, arn_lsq, est, A.count)
@@ -317,10 +472,9 @@ def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
                 return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
         else:
             hist.append(est, np.nan, est, A.count)
-            if est <= floors["res"]:
-                z = qr.solve(k)
-                xk = x_in + state.basis(k) @ z
-                return _checked_convergence(A, b, xk, floors, k)
+            done = monitor.residual(k, est)
+            if done is not None:
+                return done
 
     if opts.record_explicit:
         return _CycleResult(x_best, r_best, MAXIT, None, None, budget)

@@ -241,16 +241,18 @@ class HessenbergQr(_TriangularFactor):
 
 class HessenbergQrWithQ(HessenbergQr):
     """:class:`HessenbergQr` that also tracks columns of the orthogonal
-    factor, for the second factorization level of rsmar2 and dgmres.
+    factor, for the second factorization level of rsmar2 and dgmres and
+    for the A-residual estimate of estimate-mode GMRES.
 
     After each append, ``q_new_col`` is column ``k`` of ``Q_{k+1}`` (the
     combination of Hessenberg columns that the new triangular column
-    stands for).
+    stands for) and ``q_last`` is the last column of the same ``Q`` (the
+    direction of the subproblem residual: ``g - H y = t[-1] q_last``).
     """
 
     def __init__(self, rhs_seed):
         super().__init__(rhs_seed)
-        self._qlast = np.array([1.0])
+        self.q_last = np.array([1.0])
         self.q_new_col = None
 
     def append_column(self, column, rhs_append=0.0):
@@ -259,11 +261,11 @@ class HessenbergQrWithQ(HessenbergQr):
         c, s = self.rotations[-1]
         # Q_{k+1} e_{k+1} = c * [qlast; 0] + s * e_{k+2} and the running
         # last column becomes -s * [qlast; 0] + c * e_{k+2}.
-        qpad = np.append(self._qlast, 0.0)
+        qpad = np.append(self.q_last, 0.0)
         ek = np.zeros(k + 2)
         ek[k + 1] = 1.0
         self.q_new_col = c * qpad + s * ek
-        self._qlast = -s * qpad + c * ek
+        self.q_last = -s * qpad + c * ek
         return tail
 
 

@@ -139,7 +139,9 @@ class SolveOptions:
     tol : float
         Relative convergence tolerance.  A solve stops once
         ``||r_k|| <= tol * ||r_0||`` or ``||A r_k|| <= tol * ||A r_0||``
-        (whichever monitor the method can evaluate).
+        (whichever monitor the method can evaluate).  Without explicit
+        monitoring, GMRES and RRGMRES watch matvec-free estimates of both
+        norms and confirm a stop with one explicit norm.
     maxit : int, optional
         Iteration cap.  Defaults to the operator dimension.
     restart : int, optional
@@ -152,7 +154,9 @@ class SolveOptions:
         Recompute ``r_k = b - A x_k`` and ``A r_k`` every iteration and
         record their true norms (two extra matvecs per iteration).  When
         off, histories contain the recurrence estimates instead, with
-        ``nan`` where a method has no cheap estimate.
+        ``nan`` where a method has no cheap estimate; the last row of a
+        GMRES or RRGMRES run that stops on a rule holds the explicit norms
+        of the returned iterate.
     """
 
     tol: float = 1e-10

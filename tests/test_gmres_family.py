@@ -316,6 +316,39 @@ def test_success_tag_implies_aresidual_floor(method, seed):
         assert ares <= 1e-6 * np.linalg.norm(A @ b), rep.termination
 
 
+@pytest.mark.parametrize("method", ["gmres", "rrgmres"])
+@pytest.mark.parametrize(
+    "seed, n, rank, log_cond, tol, inconsistent",
+    [
+        # |A r| rises two- to tenfold on the way down, after the residual
+        # is already numerically in null(A)
+        (889295, 16, 12, 5.714, 1e-8, True),
+        # |A r| rises more than tenfold early on, while the residual is
+        # still in range(A)
+        (822627, 11, 4, 3.922, 1e-10, False),
+        (822627, 11, 4, 3.922, 1e-10, True),
+    ],
+)
+def test_estimate_mode_floor_rule_ignores_transient_rise(
+    method, seed, n, rank, log_cond, tol, inconsistent
+):
+    # neither rise is the attainable floor: estimate mode must run on to
+    # the stop and the answer of explicit mode
+    A, _, b_cons, b_inc = make_inconsistent(seed, n=n, rank=rank, cond=10**log_cond)
+    b = b_inc if inconsistent else b_cons
+    explicit = rk.SOLVERS[method](A, b, tol=tol, maxit=4 * n)
+    rep = rk.SOLVERS[method](A, b, tol=tol, maxit=4 * n, record_explicit=False)
+    assert (rep.termination, rep.iterations) == (
+        explicit.termination,
+        explicit.iterations,
+    )
+    x_exp, x_est = (
+        r.lifted_solution if r.lifted_solution is not None else r.solution
+        for r in (explicit, rep)
+    )
+    assert np.linalg.norm(x_est - x_exp) <= 1e-6 * np.linalg.norm(x_exp)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     n=st.integers(10, 60),
@@ -328,16 +361,21 @@ def test_success_tag_implies_aresidual_floor_on_random_systems(
     n, rank_share, log_cond, seed, tol
 ):
     # no long-recurrence method may report success with an explicit
-    # A-residual above the floor, on consistent or inconsistent systems
+    # A-residual above the floor, on consistent or inconsistent systems,
+    # and neither may gmres or rrgmres without explicit monitoring
     rank = min(n - 1, max(1, round(rank_share * n)))
     A, _, b_cons, b_inc = make_inconsistent(seed, n=n, rank=rank, cond=10**log_cond)
+    runs = [("gmres", True), ("rrgmres", True), ("dgmres", True)]
+    runs += [("rsmar1", True), ("rsmar2", True), ("gmres", False), ("rrgmres", False)]
     for b in (b_cons, b_inc):
         ares0 = np.linalg.norm(A @ b)
-        for method in ("gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2"):
-            rep = rk.SOLVERS[method](A, b, tol=tol, maxit=4 * n)
+        for method, explicit in runs:
+            rep = rk.SOLVERS[method](
+                A, b, tol=tol, maxit=4 * n, record_explicit=explicit
+            )
             if rep.termination in (rk.CONVERGED, rk.HAPPY_BREAKDOWN):
                 ares = np.linalg.norm(A @ (b - A @ rep.solution))
-                assert ares <= 1e-6 * ares0, (method, rep.termination)
+                assert ares <= 1e-6 * ares0, (method, explicit, rep.termination)
 
 
 @pytest.mark.parametrize("method", ["gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2"])
@@ -370,13 +408,60 @@ def test_gmres_degenerate_closure_returns_best_iterate():
 def test_estimate_mode_convergence_confirmed_by_explicit_residual(method):
     # On this inconsistent grid system the residual estimate of both
     # methods falls below the floor near subspace closure while the
-    # iterate is far from any least squares solution.
+    # iterate is far from any least squares solution.  Estimate mode must
+    # end at a least squares solution, and each stop rule must hold for
+    # the explicit norm it names.
     spec = rk.BvpSpec(m=20, d=10.0)
     A = rk.make_bvp_matrix(spec)
     b = rk.make_bvp_rhs(spec, "inconsistent_xy")
     tol = 1e-8
     rep = rk.SOLVERS[method](A, b, tol=tol, maxit=400, record_explicit=False)
-    rn = np.linalg.norm(b - A @ rep.solution)
+    r = b - A @ rep.solution
     assert rep.termination != rk.HAPPY_BREAKDOWN
-    if rep.termination == rk.CONVERGED:
-        assert rn <= 10 * tol * np.linalg.norm(b)
+    if rep.stop_rule == "residual":
+        assert np.linalg.norm(r) <= 10 * tol * np.linalg.norm(b)
+    if rep.stop_rule == "aresidual":
+        assert np.linalg.norm(A @ r) <= 10 * tol * np.linalg.norm(A @ b)
+    x = rep.lifted_solution if rep.lifted_solution is not None else rep.solution
+    xstar = rk.pseudoinverse_solve(A.toarray(), b)
+    assert np.linalg.norm(x - xstar) <= 1e-6 * np.linalg.norm(xstar)
+
+
+@pytest.mark.parametrize("method", ["gmres", "rrgmres"])
+@pytest.mark.parametrize(
+    "rhs, tol", [("consistent_random", 1e-12), ("inconsistent_xy", 1e-8)]
+)
+def test_estimate_mode_stops_where_explicit_mode_does_on_grid(method, rhs, tol):
+    # The A-residual estimate stops estimate mode within two iterations of
+    # the iterate explicit mode returns (its smallest explicit |A r|), at
+    # the pseudoinverse solution.  Before, estimate mode ran both methods
+    # on the inconsistent system towards closure and returned iterates
+    # with errors near 1e14.
+    spec = rk.BvpSpec(m=20, d=10.0)
+    A = rk.make_bvp_matrix(spec)
+    b = rk.make_bvp_rhs(spec, rhs, 0, A)
+    explicit = rk.SOLVERS[method](A, b, tol=tol, maxit=400)
+    rep = rk.SOLVERS[method](A, b, tol=tol, maxit=400, record_explicit=False)
+    assert abs(rep.iterations - np.argmin(explicit.aresidual_history)) <= 2
+    x = rep.lifted_solution if rep.lifted_solution is not None else rep.solution
+    xstar = rk.pseudoinverse_solve(A.toarray(), b)
+    assert np.linalg.norm(x - xstar) <= 1e-6 * np.linalg.norm(xstar)
+
+
+@pytest.mark.parametrize("method", ["gmres", "rrgmres"])
+@pytest.mark.parametrize("seed", range(10))
+def test_estimate_mode_returns_best_iterate_on_criterion07(method, seed):
+    # Estimate mode used to return x0 (|A r|/|A r0| = 1) at the degenerate
+    # closure of these systems; it now returns the best iterate, checked
+    # explicitly, and a success tag still implies the A-residual floor.
+    A, Ap, b = make_criterion07_instance(seed)
+    rep = rk.SOLVERS[method](
+        A, b, tol=1e-13, maxit=4 * A.shape[0], record_explicit=False
+    )
+    ares = np.linalg.norm(A @ (b - A @ rep.solution)) / np.linalg.norm(A @ b)
+    assert ares <= 1e-9
+    assert rep.aresidual_history[-1] == pytest.approx(
+        ares * rep.aresidual_history[0], rel=1e-3
+    )
+    if rep.termination in (rk.CONVERGED, rk.HAPPY_BREAKDOWN):
+        assert ares <= 1e-6
