@@ -31,9 +31,6 @@ from .operators import (
     SolveOptions,
     SolveReport,
     aslinearoperator,
-    dot,
-    matvec,
-    norm2,
     sparse_from_triplets,
 )
 from .oracle import (
@@ -72,9 +69,6 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "aslinearoperator",
-    "dot",
-    "matvec",
-    "norm2",
     "sparse_from_triplets",
     "CONVERGED",
     "HAPPY_BREAKDOWN",

@@ -1,32 +1,40 @@
-"""Minimum-residual Krylov solvers built on the Arnoldi process.
+"""Long-recurrence Krylov solvers: one restart-cycle driver, five subproblems.
 
-``gmres_solve`` minimizes the residual norm over the Krylov space seeded
-by the initial residual.  ``rrgmres_solve`` minimizes the same functional
-over the range-restricted space seeded by the image of the initial
-residual, which keeps its iterates in range(A) and makes the final
-iterate the pseudoinverse solution on singular range-symmetric systems
-(with a zero initial guess).  ``dgmres_solve`` minimizes the A-residual
-norm over the range-restricted space (index-1 systems) through a
-two-level QR of the product of consecutive hat Hessenberg factors, and
-its final iterate is again the pseudoinverse solution.
+GMRES, RRGMRES, DGMRES and the two RSMAR variants (:mod:`rskrylov.rsmar`)
+differ only in the norm they minimize over a Krylov space, ``|r|``
+(``gmres_solve``, ``rrgmres_solve``) or ``|A r|`` (the others), and in the
+seed of their Arnoldi process, ``r0`` (GMRES, RSMAR2) or ``A r0``
+(RRGMRES, DGMRES, RSMAR1).  RRGMRES and DGMRES search the range-restricted
+space, which keeps their iterates in range(A): with a zero initial guess
+on a singular range-symmetric system their final iterate is the
+pseudoinverse solution.
 
-All three share a convergence rule: stop once the residual norm falls
-below ``tol * ||r_0||`` or the A-residual norm falls below
-``tol * ||A r_0||``.  At subspace closure the iterate of the square
-Hessenberg solve is accepted (``happy_breakdown``) only if that system is
-numerically nonsingular and the iterate's explicit A-residual norm is not
-above the smallest one seen in the cycle.  Otherwise the square system is
-the signature of an inconsistent system: the best least squares iterate
-seen (smallest explicit A-residual norm) is returned as
-``singular_final_system``, and GMRES applies the rank-one lift to it to
-recover the minimum-norm least squares solution.
+:func:`_cycle` runs one restart cycle of any of them.  A method supplies
+only a :class:`_Subproblem`: its seed and initial history values, its
+per-step append (the recurrence value of the minimized norm, and whether
+the space closed), the reconstruction of iterate ``k`` and the square
+solve at subspace closure.  One monitor decides everything else.
+
+With explicit monitoring (:class:`_Monitor`) a run stops once the
+residual norm falls below ``tol * ||r_0||`` or the A-residual norm below
+``tol * ||A r_0||``.  The best least squares iterate seen (smallest
+explicit A-residual norm) is the fallback whenever the subproblem
+degenerates: when the minimized norm more than doubles, or a triangular
+factor is numerically singular.  At subspace closure the iterate of the
+square solve is accepted (``happy_breakdown``) only if that system is
+numerically nonsingular, its minimized norm is not above the last one
+recorded and its A-residual norm not above the smallest one seen in the
+cycle.  Otherwise the square system is the signature of an inconsistent
+system: the best least squares iterate is returned as
+``singular_final_system``, and GMRES and the two RSMAR variants apply the
+rank-one lift to it to recover the minimum-norm least squares solution.
 
 Without explicit monitoring (``record_explicit=False``) GMRES and RRGMRES
 stop on a matvec-free estimate of the A-residual norm of the previous
 iterate, available one Arnoldi step late, and return a best iterate that
 has been checked explicitly whenever the estimates cannot be trusted
-(:class:`_EstimateMonitor`).  DGMRES minimizes the A-residual itself, so
-its recurrence value is the estimate.
+(:class:`_EstimateMonitor`).  The A-residual minimizers' recurrence value
+is the estimate (:class:`_RecurrenceMonitor`).
 """
 
 from __future__ import annotations
@@ -57,65 +65,16 @@ from .operators import CONVERGED, HAPPY_BREAKDOWN, MAXIT, SINGULAR_FINAL_SYSTEM
 __all__ = ["gmres_solve", "rrgmres_solve", "dgmres_solve"]
 
 
-class _CycleResult:
+class _CycleResult(NamedTuple):
     """Outcome of one cycle; ``arn`` is ``|A r|`` when the cycle has it."""
 
-    def __init__(self, x, r, termination, stop_rule, detected_ell, iters, arn=None):
-        self.x = x
-        self.r = r
-        self.termination = termination
-        self.stop_rule = stop_rule
-        self.detected_ell = detected_ell
-        self.iters = iters
-        self.arn = arn
-
-
-def _run_cycles(cycle, A, b, x0, r0, opts, hist, floors):
-    """Drive restart cycles around one inner-cycle implementation."""
-    maxit = opts.maxit if opts.maxit is not None else A.n
-    budget = maxit
-    x = x0
-    r = r0
-    result = None
-    while True:
-        cycle_budget = budget if opts.restart is None else min(opts.restart, budget)
-        result = cycle(A, b, x, r, opts, cycle_budget, floors, hist)
-        budget -= result.iters
-        x = result.x
-        if result.termination != MAXIT or budget <= 0 or opts.restart is None:
-            break
-        r = result.r
-        if r is None:
-            r = b - A.apply(x)
-    return result
-
-
-def _finalize(method, A, b, x0, hist, floors, result, lift_enabled):
-    lifted = (
-        maybe_lift(
-            A,
-            b,
-            hist,
-            result.x,
-            x0,
-            result.r,
-            floors["res"],
-            result.termination,
-            result.arn,
-        )
-        if lift_enabled
-        else None
-    )
-    return build_report(
-        method,
-        result.x,
-        lifted,
-        hist,
-        A.count,
-        result.termination,
-        result.stop_rule,
-        result.detected_ell,
-    )
+    x: np.ndarray
+    r: np.ndarray | None
+    termination: str
+    stop_rule: str | None
+    detected_ell: int | None
+    iters: int
+    arn: float | None = None
 
 
 class _Probe(NamedTuple):
@@ -128,14 +87,298 @@ class _Probe(NamedTuple):
     arn: float
 
 
-class _EstimateMonitor:
-    """Stopping rules of the gmres and rrgmres cycles in estimate mode.
+class _Subproblem:
+    """One method's part of a restart cycle from ``x_in`` (residual ``r0``).
 
-    The cycle hands in, one Arnoldi step late and without a matvec, an
-    estimate of ``|A r_j|`` for iterate ``j = k - 1`` (:meth:`check`, at
-    step ``k``); the residual estimate of that iterate is the last history
-    row.  Any iterate ``j`` is rebuilt as ``x_in + V_j qr.solve(j)``,
-    because the leading parts of ``R`` and ``t`` never change.
+    Class attributes hold what follows from the method: ``hat`` (the
+    Arnoldi seed is ``A r0``, not ``r0``), ``minimized`` (index of the
+    minimized norm in ``(|r|, |A r|)``), ``two_level`` (Arnoldi runs one
+    step ahead, so closure shows before the row of iterate ``k`` exists)
+    and ``lift`` (the final iterate may need the rank-one lift).
+
+    A method supplies :meth:`start` (after the Arnoldi run is seeded; may
+    end the cycle), :meth:`step` (one append; returns the recurrence value
+    of the minimized norm and sets ``closed``), :meth:`iterate` and
+    :meth:`closure`.
+    """
+
+    hat = False
+    minimized = 0
+    two_level = False
+    lift = True
+
+    def __init__(self, A, b, x_in, r0, opts, floors, hist):
+        self.A, self.b, self.x_in, self.r0 = A, b, x_in, r0
+        self.opts, self.floors, self.hist = opts, floors, hist
+        self.beta1 = float(np.linalg.norm(r0))
+        self.closed = False
+
+    def anchor(self, beta_hat):
+        """Take ``beta_hat = |A r0|``; the first cycle also records it in
+        the empty initial history entries and sets the A-residual floor."""
+        self.beta_hat = beta_hat
+        hist = self.hist
+        if np.isnan(hist.ares[0]):
+            hist.ares[0] = beta_hat
+        if np.isnan(hist.est[0]):
+            hist.est[0] = beta_hat
+        if self.floors["ares"] is None:
+            self.floors["ares"] = self.opts.tol * beta_hat
+
+    def iterate(self, k):
+        """Iterate ``k``: ``x_in + V_k R^{-1} t``."""
+        return self.x_in + self.state.basis(k) @ self.qr.solve(k)
+
+    def closure(self, k):
+        """The exact solve of the square system at subspace closure."""
+        return self.iterate(k)
+
+
+class _Gmres(_Subproblem):
+    """Residual norm over the space of ``r0``; the tail of the rotated
+    right-hand side is the residual norm."""
+
+    def start(self):
+        explicit = self.opts.record_explicit
+        self.qr = (HessenbergQr if explicit else HessenbergQrWithQ)(self.beta1)
+
+    def step(self, k):
+        self.closed = arnoldi_step(self.state, self.A) == "breakdown"
+        col = self.state.column(k - 1)
+        if not self.opts.record_explicit:
+            self.t_prev, self.q_prev = self.qr.t[-1], self.qr.q_last
+        tail = self.qr.append_column(col, 0.0)
+        if k == 1:
+            self.anchor(self.beta1 * float(np.linalg.norm(col)))
+        return tail
+
+    def ares_estimate(self, k, hess):
+        # r_{k-1} = t_prev V_k q_prev, so A r_{k-1} = t_prev V_{k+1} H q_prev
+        hq = hess.view(k + 1, k) @ self.q_prev
+        return abs(self.t_prev) * float(np.linalg.norm(hq))
+
+
+class _Rrgmres(_Subproblem):
+    """Residual norm over the space of ``A r0``: the projected right-hand
+    side ``V^T r0`` grows one entry per step."""
+
+    hat = True
+    lift = False
+
+    def start(self):
+        self.anchor(self.state.seed_norm)
+        g0 = float(self.state.vector(0) @ self.r0)
+        self.qr = HessenbergQr(g0)
+        self.gnorm2 = g0 * g0
+
+    def step(self, k):
+        self.closed = arnoldi_step(self.state, self.A) == "breakdown"
+        gk = 0.0 if self.closed else float(self.state.vector(k) @ self.r0)
+        tail = self.qr.append_column(self.state.column(k - 1), gk)
+        self.gnorm2 += gk * gk
+        return np.sqrt(max(tail**2 + self.beta1**2 - self.gnorm2, 0.0))
+
+    def ares_estimate(self, k, hess):
+        # A r_{k-1} = V_{k+1} (beta_hat e1 - H_{k+1,k} H_{k,k-1} y_{k-1})
+        y = self.qr.solve(k - 1)
+        w = hess.view(k + 1, k) @ (hess.view(k, k - 1) @ y)
+        w[0] -= self.beta_hat
+        return float(np.linalg.norm(w))
+
+
+class _TwoLevel(_Subproblem):
+    """A-residual norm through two QR levels, Arnoldi one step ahead: rsmar2
+    (seed ``r0``), or dgmres (:class:`_Dgmres`, seed ``A r0``).
+
+    With ``x = x_in + V_k y`` the A-residual is ``A r0 - V_{k+2} H_{k+2,k+1}
+    H_{k+1,k} y``: an inner QR of the Hessenberg matrix, and an outer QR of
+    the product of the next Hessenberg with the inner orthogonal factor, a
+    matrix that vanishes below its second subdiagonal.  The outer product
+    is assembled column by column, never as a dense matrix product.  The
+    root sum of squares of the two outer tail entries is the A-residual
+    norm of the iterate.
+    """
+
+    minimized = 1
+    two_level = True
+
+    def start(self):
+        state = self.state
+        arnoldi_step(state, self.A)
+        col1 = state.column(0)
+        self.hbuf = ColumnBuffer()
+        self.hbuf.push(col1)
+        s = state.seed_norm
+        if self.hat:  # A r0 = s v_1
+            self.anchor(s)
+            ar0 = (s, 0.0)
+        else:  # A r0 = s V_2 h_1
+            self.anchor(s * float(np.linalg.norm(col1)))
+            ar0 = (s * col1[0], s * col1[1])
+        if self.beta_hat <= self.opts.breakdown_tol:
+            return _CycleResult(self.x_in, self.r0, CONVERGED, "aresidual", None, 0)
+        self.inner = HessenbergQrWithQ(s)
+        self.outer = BandedQr(ar0)
+        return None
+
+    def step(self, k):
+        state = self.state
+        if not state.broke_down:
+            arnoldi_step(state, self.A)
+            self.hbuf.push(state.column(state.k - 1))
+        self.inner.append_column(state.column(k - 1), 0.0)
+        # Step k equals the dimension of the closed space: no outer column.
+        self.closed = state.k < k + 1
+        if self.closed:
+            return 0.0
+        htcol = self.hbuf.view(k + 2, k + 1) @ self.inner.q_new_col
+        t1, t2 = self.outer.append_column(htcol)
+        return float(np.hypot(t1, t2))
+
+    def iterate(self, k):
+        z = self.inner.apply_rinv(self.outer.solve(k), k)
+        return self.x_in + self.state.basis(k) @ z
+
+    def closure(self, k):
+        # The square Hessenberg is nonsingular on index-1 systems; dgmres
+        # solves with its square, H_k**2 y = beta_hat e1, in two steps.
+        y = self.inner.solve(k)
+        if self.hat:
+            y = self.inner.solve_rhs(y)
+        return self.x_in + self.state.basis(k) @ y
+
+
+class _Dgmres(_TwoLevel):
+    """The two-level subproblem on the space of ``A r0``."""
+
+    hat = True
+    lift = False
+
+
+class _Monitor:
+    """Explicit monitoring: checks every iterate with two matvecs.
+
+    Owns the stopping rules, the best least squares candidate of the cycle
+    (``x_lsq``, smallest explicit ``|A r|``, the fallback whenever the
+    subproblem degenerates), the growth guard, the closure guard and the
+    ``maxit`` tail.
+    """
+
+    def __init__(self, sub):
+        self.sub, self.A, self.b = sub, sub.A, sub.b
+        self.hist, self.floors = sub.hist, sub.floors
+        self.x_lsq, self.r_lsq, self.rn_lsq = sub.x_in, sub.r0, sub.beta1
+        self.arn_lsq = sub.beta_hat if sub.minimized else np.inf
+        # absolute slack of the guards on the minimized norm: relative to
+        # |r0| of the cycle, or to |A r0| of the run
+        self.slack = 1e-12 * (self.hist.ares[0] if sub.minimized else sub.beta1)
+        self.x_best = self.r_best = None  # the last iterate recorded
+
+    def advance(self, k):
+        """Rules that run before the closure check (none here)."""
+        return None
+
+    def _rose(self, rn, arn, factor):
+        """Whether the minimized one of ``rn`` and ``arn`` is above
+        ``factor`` times its last recorded value, plus slack."""
+        m = self.sub.minimized
+        last = (self.hist.res, self.hist.ares)[m][-1]
+        return (rn, arn)[m] > last * factor + self.slack
+
+    def record(self, k, est):
+        """Check iterate ``k`` explicitly, add its row, apply the rules."""
+        hist, floors = self.hist, self.floors
+        try:
+            x = self.sub.iterate(k)
+        except SingularTriangularError:
+            return self.best_lsq(k, None, est)
+        r, rn, arn = explicit_norms(self.A, self.b, x)
+        if self._rose(rn, arn, 2.0):
+            # A clear increase of the minimized norm contradicts the
+            # minimization: the subproblem has degenerated numerically.
+            return self.best_lsq(k - 1)
+        hist.append(rn, arn, est, self.A.count)
+        self.x_best, self.r_best = x, r
+        if arn < self.arn_lsq:
+            self.x_lsq, self.r_lsq, self.rn_lsq, self.arn_lsq = x, r, rn, arn
+        if rn <= floors["res"]:
+            return _CycleResult(x, r, CONVERGED, "residual", None, k, arn)
+        if arn <= floors["ares"]:
+            return _CycleResult(x, r, CONVERGED, "aresidual", None, k, arn)
+        return None
+
+    def closure(self, k, est):
+        """Accept the square solve at closure unless it is singular."""
+        hist = self.hist
+        ell = self.sub.state.breakdown_step
+        try:
+            x = self.sub.closure(k)
+            r, rn, arn = explicit_norms(self.A, self.b, x)
+            # The minimized norm cannot exceed the last one (nested
+            # minimization); a jump proves the square system at closure is
+            # numerically singular even when the diagonal guard missed it.
+            # An A-residual above the best seen proves it too, whichever
+            # way rounding moved the residual norm.
+            singular = self._rose(rn, arn, 1.0 + 1e-6) or (
+                arn > self.arn_lsq * (1.0 + 1e-6) + 1e-12 * hist.ares[0]
+            )
+        except SingularTriangularError:
+            singular = True
+        if not singular:
+            hist.append(rn, arn, est, self.A.count)
+            return _CycleResult(x, r, HAPPY_BREAKDOWN, None, ell, k, arn)
+        return self.singular(k, est, ell)
+
+    def singular(self, k, est, ell):
+        # A two-level method sees closure before iterate k has a history
+        # row: it adds none and reports k - 1 iterations.
+        if self.sub.two_level:
+            return self.best_lsq(k - 1, ell)
+        return self.best_lsq(k, ell, est)
+
+    def best_lsq(self, iters, ell=None, est=None):
+        """``singular_final_system`` with the best least squares iterate;
+        with ``est``, a history row for it is appended first."""
+        if est is not None:
+            if np.isinf(self.arn_lsq):
+                self.r_lsq, self.rn_lsq, self.arn_lsq = explicit_norms(
+                    self.A, self.b, self.x_lsq
+                )
+            self.hist.append(self.rn_lsq, self.arn_lsq, est, self.A.count)
+        x, r, arn = self.x_lsq, self.r_lsq, self.arn_lsq
+        return _CycleResult(x, r, SINGULAR_FINAL_SYSTEM, None, ell, iters, arn)
+
+    def tail(self, budget):
+        return _CycleResult(self.x_best, self.r_best, MAXIT, None, None, budget)
+
+
+class _RecurrenceMonitor(_Monitor):
+    """Estimate mode of the A-residual minimizers: the recurrence value is
+    the A-residual norm, recorded in its column; the run stops once it is
+    at ``tol |A r0|``.  ``x_lsq`` stays at ``x_in``."""
+
+    def record(self, k, est):
+        self.hist.append(np.nan, est, est, self.A.count)
+        if est <= self.floors["ares"]:
+            x = self.sub.iterate(k)
+            return _CycleResult(x, None, CONVERGED, "aresidual", None, k)
+        return None
+
+    def tail(self, budget):
+        try:
+            x = self.sub.iterate(budget)
+        except SingularTriangularError:
+            x = self.sub.x_in.copy()
+        return _CycleResult(x, None, MAXIT, None, None, budget)
+
+
+class _EstimateMonitor(_RecurrenceMonitor):
+    """Stopping rules of the residual minimizers in estimate mode.
+
+    The subproblem hands in, one Arnoldi step late and without a matvec,
+    an estimate of ``|A r_j|`` for iterate ``j = k - 1`` (at step ``k``);
+    the residual estimate of that iterate is the last history row.
+    ``arn_lsq`` is the smallest A-residual estimate, of iterate ``best_j``.
 
     * A-residual rule: an estimate at ``tol |A r0|`` is confirmed by one
       explicit ``|A r|``; at most ten times the floor ends ``converged``.
@@ -155,26 +398,20 @@ class _EstimateMonitor:
     the returned iterate, its row made explicit.
     """
 
-    def __init__(self, A, b, x_in, r0, state, qr, floors, hist):
-        self.A, self.b, self.x_in, self.r0 = A, b, x_in, r0
-        self.state, self.qr = state, qr
-        self.floors, self.hist = floors, hist
-        self.row0 = len(hist.res) - 1  # history row of iterate 0
+    def __init__(self, sub):
+        super().__init__(sub)
+        self.row0 = len(self.hist.res) - 1  # history row of iterate 0
         self.hess = ColumnBuffer()  # Hessenberg columns, for the estimates
         self.ares = []  # A-residual estimate of each iterate
-        self.best = np.inf  # smallest A-residual estimate, of iterate best_j
         self.best_j = 0
         self.best_res = np.inf  # residual estimate of iterate best_j
         self.residual_rule = True
-
-    def _iterate(self, j):
-        return self.x_in + self.state.basis(j) @ self.qr.solve(j)
 
     def _explicit(self, j):
         """Iterate ``j`` checked explicitly (two matvecs); an iterate behind
         a singular triangular factor gets infinite norms."""
         try:
-            x = self._iterate(j)
+            x = self.sub.iterate(j)
         except SingularTriangularError:
             return _Probe(j, None, None, np.inf, np.inf)
         return _Probe(j, x, *explicit_norms(self.A, self.b, x))
@@ -183,30 +420,36 @@ class _EstimateMonitor:
         self.hist.end_at(self.row0 + p.j, p.rn, p.arn, self.A.count)
         return _CycleResult(p.x, p.r, termination, stop_rule, ell, p.j, p.arn)
 
-    def check(self, k, aest):
+    def advance(self, k):
         """A-residual and floor rules for iterate ``k - 1``."""
+        self.hess.push(self.sub.state.column(k - 1))
+        try:
+            aest = self.sub.ares_estimate(k, self.hess)
+        except SingularTriangularError:
+            return self.fallback(None)
         j = k - 1
         self.ares.append(aest)
-        if aest < self.best:
-            self.best, self.best_j, self.best_res = aest, j, self.hist.est[-1]
+        if aest < self.arn_lsq:
+            self.arn_lsq, self.best_j, self.best_res = aest, j, self.hist.est[-1]
         if aest <= self.floors["ares"]:
             p = self._explicit(j)
             if p.arn <= 10.0 * self.floors["ares"]:
                 return self._end(p, CONVERGED, "aresidual", None)
             return self.fallback(None, p)
-        if aest > 10.0 * self.best and (
-            self.best * self.hist.res[0]
+        if aest > 10.0 * self.arn_lsq and (
+            self.arn_lsq * self.hist.res[0]
             <= LIFT_RHO * self.best_res * self.hist.ares[0]
         ):
             return self.fallback(None)
         return None
 
-    def residual(self, k, est):
-        """Residual rule for iterate ``k``, whose history row is the last."""
+    def record(self, k, est):
+        """Residual rule for iterate ``k``, whose history row this adds."""
+        self.hist.append(est, np.nan, est, self.A.count)
         if not self.residual_rule or est > self.floors["res"]:
             return None
         try:
-            x = self._iterate(k)
+            x = self.sub.iterate(k)
         except SingularTriangularError:
             self.residual_rule = False
             return None
@@ -216,6 +459,9 @@ class _EstimateMonitor:
             self.residual_rule = False
             return None
         return self._end(_Probe(k, x, r, rn, np.nan), CONVERGED, "residual", None)
+
+    def singular(self, k, est, ell):
+        return self.fallback(ell)
 
     def fallback(self, ell, probe=None):
         """``singular_final_system`` with the best-estimate iterate, checked
@@ -228,8 +474,8 @@ class _EstimateMonitor:
             probe = self._explicit(j)
         probes = [probe]
         if probe.arn > 10.0 * self.ares[j]:
-            r0n = float(np.linalg.norm(self.r0))
-            probes.append(_Probe(0, self.x_in, self.r0, r0n, self.ares[0]))
+            sub = self.sub
+            probes.append(_Probe(0, sub.x_in, sub.r0, sub.beta1, self.ares[0]))
             lo, hi = 0, j
             while hi - lo > 1:
                 mid = (lo + hi) // 2
@@ -243,114 +489,67 @@ class _EstimateMonitor:
         return self._end(best, SINGULAR_FINAL_SYSTEM, None, ell)
 
 
-def _gmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
-    beta1 = float(np.linalg.norm(r0))
+def _cycle(sub, budget):
+    """One restart cycle of at most ``budget`` steps of any of the methods."""
+    A, opts = sub.A, sub.opts
+    seed = A.apply(sub.r0) if sub.hat else sub.r0
     try:
-        state = arnoldi_init(A, r0, opts.breakdown_tol)
+        sub.state = arnoldi_init(A, seed, opts.breakdown_tol)
     except ZeroSeedError:
-        return _CycleResult(x_in, r0, CONVERGED, "residual", None, 0)
+        # The seed vanishes, so A r0 does: x_in already minimizes both
+        # norms over x_in + range(A).
+        sub.anchor(0.0)
+        rule = "aresidual" if sub.hat else "residual"
+        return _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0)
+    done = sub.start()
+    if done is not None:
+        return done
     if opts.record_explicit:
-        qr = HessenbergQr(beta1)
-        monitor = None
+        monitor = _Monitor(sub)
+    elif sub.minimized:
+        monitor = _RecurrenceMonitor(sub)
     else:
-        qr = HessenbergQrWithQ(beta1)
-        monitor = _EstimateMonitor(A, b, x_in, r0, state, qr, floors, hist)
-    x_best = x_in
-    r_best = r0
-    # best least squares candidate seen so far (smallest explicit |A r|);
-    # the fallback whenever the subproblem degenerates
-    x_lsq, r_lsq, rn_lsq, arn_lsq = x_in, r0, beta1, np.inf
+        monitor = _EstimateMonitor(sub)
     for k in range(1, budget + 1):
-        outcome = arnoldi_step(state, A)
-        col = state.column(k - 1)
-        if monitor is not None:
-            q_prev, t_prev = qr.q_last, qr.t[-1]
-        tail = qr.append_column(col, 0.0)
-        if k == 1:
-            beta_hat = beta1 * float(np.linalg.norm(col))
-            if floors["ares"] is None:
-                floors["ares"] = opts.tol * beta_hat
-            if np.isnan(hist.ares[0]):
-                hist.ares[0] = beta_hat
-        if monitor is not None:
-            # r_{k-1} = t_prev V_k q_prev, so A r_{k-1} = t_prev V_{k+1} H q_prev
-            monitor.hess.push(col)
-            hq = monitor.hess.view(k + 1, k) @ q_prev
-            done = monitor.check(k, abs(t_prev) * float(np.linalg.norm(hq)))
-            if done is not None:
-                return done
-            arn_lsq = monitor.best  # what the closure guard compares with
+        est = sub.step(k)
+        done = monitor.advance(k)
+        if done is None and sub.closed:
+            done = monitor.closure(k, est)
+        if done is None:
+            done = monitor.record(k, est)
+        if done is not None:
+            return done
+    return monitor.tail(budget)
 
-        if outcome == "breakdown":
-            ell = state.breakdown_step
-            singular = False
-            try:
-                z = qr.solve(k)
-                xk = x_in + state.basis(k) @ z
-                r, rn, arn = explicit_norms(A, b, xk)
-                # The residual norm cannot exceed the previous one (nested
-                # minimization); a jump proves the square system at closure
-                # is numerically singular even when the diagonal guard
-                # missed it.  An A-residual above the best seen proves it
-                # too, whichever way rounding moved |r|.
-                singular = (
-                    rn > hist.res[-1] * (1.0 + 1e-6) + 1e-12 * beta1
-                    or arn > arn_lsq * (1.0 + 1e-6) + 1e-12 * hist.ares[0]
-                )
-            except SingularTriangularError:
-                singular = True
-            if not singular:
-                hist.append(rn, arn, tail, A.count)
-                return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, ell, k, arn)
-            if monitor is not None:
-                return monitor.fallback(ell)
-            if np.isinf(arn_lsq):
-                r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
-            hist.append(rn_lsq, arn_lsq, tail, A.count)
-            return _CycleResult(
-                x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, ell, k, arn_lsq
-            )
 
-        if opts.record_explicit:
-            try:
-                z = qr.solve(k)
-            except SingularTriangularError:
-                if np.isinf(arn_lsq):
-                    r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
-                hist.append(rn_lsq, arn_lsq, tail, A.count)
-                return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k, arn_lsq
-                )
-            xk = x_in + state.basis(k) @ z
-            r, rn, arn = explicit_norms(A, b, xk)
-            if rn > hist.res[-1] * 2.0 + 1e-12 * beta1:
-                # A clear residual increase contradicts the minimization
-                # property: the subproblem has degenerated numerically.
-                return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1, arn_lsq
-                )
-            hist.append(rn, arn, tail, A.count)
-            x_best, r_best = xk, r
-            if arn < arn_lsq:
-                x_lsq, r_lsq, rn_lsq, arn_lsq = xk, r, rn, arn
-            if rn <= floors["res"]:
-                return _CycleResult(xk, r, CONVERGED, "residual", None, k, arn)
-            if arn <= floors["ares"]:
-                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
-        else:
-            hist.append(tail, np.nan, tail, A.count)
-            done = monitor.residual(k, tail)
-            if done is not None:
-                return done
-
-    if opts.record_explicit:
-        return _CycleResult(x_best, r_best, MAXIT, None, None, budget)
-    try:
-        z = qr.solve(qr.k)
-        xk = x_in + state.basis(qr.k) @ z
-    except SingularTriangularError:
-        xk = x_in.copy()
-    return _CycleResult(xk, None, MAXIT, None, None, budget)
+def _solve(method, kind, A, b, x0, opts, options):
+    """Restart cycles of subproblem class ``kind`` until one ends the run."""
+    A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
+    hist = Histories()
+    beta1 = float(np.linalg.norm(r0))
+    if beta1 <= opts.breakdown_tol:
+        return _trivial_report(method, A, x0, beta1, hist)
+    # The initial estimate is of the minimized norm (|A r0| comes later).
+    hist.append(beta1, np.nan, np.nan if kind.minimized else beta1, A.count)
+    floors = {"res": opts.tol * beta1, "ares": None}
+    budget = opts.maxit if opts.maxit is not None else A.n
+    x, r = x0, r0
+    while True:
+        size = budget if opts.restart is None else min(opts.restart, budget)
+        result = _cycle(kind(A, b, x, r, opts, floors, hist), size)
+        budget -= result.iters
+        x, r = result.x, result.r
+        if result.termination != MAXIT or budget <= 0 or opts.restart is None:
+            break
+        if r is None:
+            r = b - A.apply(x)
+    lifted = None
+    if kind.lift:
+        lifted = maybe_lift(
+            A, b, hist, x, x0, r, floors["res"], result.termination, result.arn
+        )
+    ending = (result.termination, result.stop_rule, result.detected_ell)
+    return build_report(method, x, lifted, hist, A.count, *ending)
 
 
 def gmres_solve(A, b, x0=None, opts=None, **options):
@@ -363,258 +562,7 @@ def gmres_solve(A, b, x0=None, opts=None, **options):
     ``lifted_solution``, is the projection of ``x0`` onto the least
     squares solution set.
     """
-    A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
-    hist = Histories()
-    beta1 = float(np.linalg.norm(r0))
-    if beta1 <= opts.breakdown_tol:
-        return _trivial_report("gmres", A, x0, beta1, hist)
-    hist.append(beta1, np.nan, beta1, A.count)
-    floors = {"res": opts.tol * beta1, "ares": None}
-    result = _run_cycles(_gmres_cycle, A, b, x0, r0, opts, hist, floors)
-    return _finalize("gmres", A, b, x0, hist, floors, result, True)
-
-
-def _rrgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
-    """Range-restricted cycle: projected RHS, residual minimization."""
-    beta1 = float(np.linalg.norm(r0))
-    seed = A.apply(r0)
-    try:
-        state = arnoldi_init(A, seed, opts.breakdown_tol)
-    except ZeroSeedError:
-        # A r0 vanishes: x_in already minimizes the residual over
-        # x_in + range(A).
-        if np.isnan(hist.ares[0]):
-            hist.ares[0] = 0.0
-        return _CycleResult(x_in, r0, CONVERGED, "aresidual", None, 0)
-    beta_hat = state.seed_norm
-    if np.isnan(hist.ares[0]):
-        hist.ares[0] = beta_hat
-    if floors["ares"] is None:
-        floors["ares"] = opts.tol * beta_hat
-    g0 = float(state.vector(0) @ r0)
-    qr = HessenbergQr(g0)
-    gnorm2 = g0 * g0
-    monitor = None
-    if not opts.record_explicit:
-        monitor = _EstimateMonitor(A, b, x_in, r0, state, qr, floors, hist)
-    x_best = x_in
-    r_best = None
-    x_lsq, r_lsq, rn_lsq, arn_lsq = x_in, r0, beta1, np.inf
-    for k in range(1, budget + 1):
-        outcome = arnoldi_step(state, A)
-        col = state.column(k - 1)
-        gk = float(state.vector(k) @ r0) if outcome == "advanced" else 0.0
-        tail = qr.append_column(col, gk)
-        gnorm2 += gk * gk
-        est = np.sqrt(max(tail**2 + beta1**2 - gnorm2, 0.0))
-        if monitor is not None:
-            # A r_{k-1} = V_{k+1} (beta_hat e1 - H_{k+1,k} H_{k,k-1} y_{k-1})
-            monitor.hess.push(col)
-            try:
-                y = qr.solve(k - 1)
-            except SingularTriangularError:
-                return monitor.fallback(None)
-            w = monitor.hess.view(k + 1, k) @ (monitor.hess.view(k, k - 1) @ y)
-            w[0] -= beta_hat
-            done = monitor.check(k, float(np.linalg.norm(w)))
-            if done is not None:
-                return done
-            arn_lsq = monitor.best  # what the closure guard compares with
-
-        if outcome == "breakdown":
-            m = state.breakdown_step
-            singular = False
-            try:
-                z = qr.solve(k)
-                xk = x_in + state.basis(k) @ z
-                r, rn, arn = explicit_norms(A, b, xk)
-                singular = (
-                    rn > hist.res[-1] * (1.0 + 1e-6) + 1e-12 * beta1
-                    or arn > arn_lsq * (1.0 + 1e-6) + 1e-12 * hist.ares[0]
-                )
-            except SingularTriangularError:
-                singular = True
-            if not singular:
-                hist.append(rn, arn, est, A.count)
-                return _CycleResult(xk, r, HAPPY_BREAKDOWN, None, m, k, arn)
-            if monitor is not None:
-                return monitor.fallback(m)
-            if np.isinf(arn_lsq):
-                r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
-            hist.append(rn_lsq, arn_lsq, est, A.count)
-            return _CycleResult(
-                x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, m, k, arn_lsq
-            )
-
-        if opts.record_explicit:
-            try:
-                z = qr.solve(k)
-            except SingularTriangularError:
-                if np.isinf(arn_lsq):
-                    r_lsq, rn_lsq, arn_lsq = explicit_norms(A, b, x_lsq)
-                hist.append(rn_lsq, arn_lsq, est, A.count)
-                return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k, arn_lsq
-                )
-            xk = x_in + state.basis(k) @ z
-            r, rn, arn = explicit_norms(A, b, xk)
-            if rn > hist.res[-1] * 2.0 + 1e-12 * beta1:
-                return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1, arn_lsq
-                )
-            hist.append(rn, arn, est, A.count)
-            x_best, r_best = xk, r
-            if arn < arn_lsq:
-                x_lsq, r_lsq, rn_lsq, arn_lsq = xk, r, rn, arn
-            if rn <= floors["res"]:
-                return _CycleResult(xk, r, CONVERGED, "residual", None, k, arn)
-            if arn <= floors["ares"]:
-                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
-        else:
-            hist.append(est, np.nan, est, A.count)
-            done = monitor.residual(k, est)
-            if done is not None:
-                return done
-
-    if opts.record_explicit:
-        return _CycleResult(x_best, r_best, MAXIT, None, None, budget)
-    try:
-        z = qr.solve(qr.k)
-        xk = x_in + state.basis(qr.k) @ z
-    except SingularTriangularError:
-        xk = x_in.copy()
-    return _CycleResult(xk, None, MAXIT, None, None, budget)
-
-
-def _dgmres_cycle(A, b, x_in, r0, opts, budget, floors, hist):
-    """Index-1 cycle: A-residual minimization over the hat space.
-
-    With ``x = x_in + Vhat_k y`` the A-residual is
-    ``A r0 - Vhat_{k+2} Hhat_{k+2,k+1} Hhat_{k+1,k} y``, so the projected
-    subproblem involves the product of two Hessenberg factors.  It is
-    handled exactly like the two-level A-residual factorization: an inner
-    QR of the hat Hessenberg and an outer banded QR of the product with
-    the inner orthogonal factor, assembled column by column.
-    """
-    seed = A.apply(r0)
-    try:
-        state = arnoldi_init(A, seed, opts.breakdown_tol)
-    except ZeroSeedError:
-        if np.isnan(hist.ares[0]):
-            hist.ares[0] = 0.0
-        if np.isnan(hist.est[0]):
-            hist.est[0] = 0.0
-        return _CycleResult(x_in, r0, CONVERGED, "aresidual", None, 0)
-    beta_hat = state.seed_norm
-    if np.isnan(hist.ares[0]):
-        hist.ares[0] = beta_hat
-    if np.isnan(hist.est[0]):
-        hist.est[0] = beta_hat
-    if floors["ares"] is None:
-        floors["ares"] = opts.tol * beta_hat
-
-    hbuf = ColumnBuffer()
-    arnoldi_step(state, A)
-    hbuf.push(state.column(0))
-    inner = HessenbergQrWithQ(beta_hat)
-    outer = BandedQr((beta_hat, 0.0))
-    x_best = x_in
-    r_best = None
-    x_lsq, r_lsq, rn_lsq, arn_lsq = x_in, r0, float(np.linalg.norm(r0)), beta_hat
-
-    def reconstruct(k):
-        ytilde = outer.solve(k)
-        y = inner.apply_rinv(ytilde, k)
-        return x_in + state.basis(k) @ y
-
-    for k in range(1, budget + 1):
-        if not state.broke_down:
-            arnoldi_step(state, A)
-            hbuf.push(state.column(state.k - 1))
-        if state.k < k + 1:
-            # Subspace closed at dimension k: the square hat Hessenberg
-            # is nonsingular on index-1 systems, so solve
-            # Hhat_k**2 y = beta_hat e1 through two triangular solves.
-            inner.append_column(state.column(k - 1), 0.0)
-            singular = False
-            try:
-                w = inner.solve(k)
-                y = inner.solve_rhs(w)
-                xk = x_in + state.basis(k) @ y
-                r, rn, arn = explicit_norms(A, b, xk)
-                singular = (
-                    arn > hist.ares[-1] * (1.0 + 1e-6) + 1e-12 * hist.ares[0]
-                )
-            except SingularTriangularError:
-                singular = True
-            if singular:
-                return _CycleResult(
-                    x_lsq,
-                    r_lsq,
-                    SINGULAR_FINAL_SYSTEM,
-                    None,
-                    state.breakdown_step,
-                    k - 1,
-                    arn_lsq,
-                )
-            hist.append(rn, arn, 0.0, A.count)
-            return _CycleResult(
-                xk, r, HAPPY_BREAKDOWN, None, state.breakdown_step, k, arn
-            )
-
-        inner.append_column(state.column(k - 1), 0.0)
-        q = inner.q_new_col
-        htcol = hbuf.view(k + 2, k + 1) @ q
-        t1, t2 = outer.append_column(htcol)
-        rho = float(np.hypot(t1, t2))
-
-        if opts.record_explicit:
-            try:
-                xk = reconstruct(k)
-            except SingularTriangularError:
-                hist.append(rn_lsq, arn_lsq, rho, A.count)
-                return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k, arn_lsq
-                )
-            r, rn, arn = explicit_norms(A, b, xk)
-            if arn > hist.ares[-1] * 2.0 + 1e-12 * hist.ares[0]:
-                return _CycleResult(
-                    x_lsq, r_lsq, SINGULAR_FINAL_SYSTEM, None, None, k - 1, arn_lsq
-                )
-            hist.append(rn, arn, rho, A.count)
-            x_best, r_best = xk, r
-            if arn < arn_lsq:
-                x_lsq, r_lsq, rn_lsq, arn_lsq = xk, r, rn, arn
-            if rn <= floors["res"]:
-                return _CycleResult(xk, r, CONVERGED, "residual", None, k, arn)
-            if arn <= floors["ares"]:
-                return _CycleResult(xk, r, CONVERGED, "aresidual", None, k, arn)
-        else:
-            hist.append(np.nan, rho, rho, A.count)
-            if rho <= floors["ares"]:
-                xk = reconstruct(k)
-                return _CycleResult(xk, None, CONVERGED, "aresidual", None, k)
-
-    if opts.record_explicit:
-        return _CycleResult(x_best, r_best, MAXIT, None, None, budget)
-    try:
-        xk = reconstruct(outer.k)
-    except SingularTriangularError:
-        xk = x_in.copy()
-    return _CycleResult(xk, None, MAXIT, None, None, budget)
-
-
-
-def _hat_solve(method, cycle, A, b, x0, opts, options, est0_is_residual):
-    A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
-    hist = Histories()
-    beta1 = float(np.linalg.norm(r0))
-    if beta1 <= opts.breakdown_tol:
-        return _trivial_report(method, A, x0, beta1, hist)
-    hist.append(beta1, np.nan, beta1 if est0_is_residual else np.nan, A.count)
-    floors = {"res": opts.tol * beta1, "ares": None}
-    result = _run_cycles(cycle, A, b, x0, r0, opts, hist, floors)
-    return _finalize(method, A, b, x0, hist, floors, result, False)
+    return _solve("gmres", _Gmres, A, b, x0, opts, options)
 
 
 def rrgmres_solve(A, b, x0=None, opts=None, **options):
@@ -625,7 +573,7 @@ def rrgmres_solve(A, b, x0=None, opts=None, **options):
     system the final iterate is the pseudoinverse solution in both the
     consistent and the inconsistent case, so no lifting is needed.
     """
-    return _hat_solve("rrgmres", _rrgmres_cycle, A, b, x0, opts, options, True)
+    return _solve("rrgmres", _Rrgmres, A, b, x0, opts, options)
 
 
 def dgmres_solve(A, b, x0=None, opts=None, **options):
@@ -638,4 +586,4 @@ def dgmres_solve(A, b, x0=None, opts=None, **options):
     on a range-symmetric system the final iterate is the pseudoinverse
     solution.
     """
-    return _hat_solve("dgmres", _dgmres_cycle, A, b, x0, opts, options, False)
+    return _solve("dgmres", _Dgmres, A, b, x0, opts, options)

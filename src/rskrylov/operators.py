@@ -22,9 +22,6 @@ __all__ = [
     "LinearOperator",
     "aslinearoperator",
     "sparse_from_triplets",
-    "matvec",
-    "norm2",
-    "dot",
     "SolveOptions",
     "SolveReport",
     "CONVERGED",
@@ -101,33 +98,6 @@ def sparse_from_triplets(n, rows, cols, values):
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
-
-
-def matvec(A, v):
-    """Compute ``A @ v`` for a sparse/dense matrix or LinearOperator."""
-    if isinstance(A, LinearOperator):
-        return A.apply(v)
-    v = as_vector(v)
-    ncols = A.shape[1]
-    if v.shape[0] != ncols:
-        raise ValueError(
-            f"dimension mismatch: matrix has {ncols} columns, vector has length {v.shape[0]}"
-        )
-    return np.asarray(A @ v, dtype=np.float64)
-
-
-def norm2(v):
-    """Euclidean norm of a vector."""
-    return float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
-
-
-def dot(u, v):
-    """Standard inner product, with a length check."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(u @ v)
 
 
 @dataclass(frozen=True)

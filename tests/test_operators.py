@@ -6,56 +6,6 @@ import rskrylov as rk
 from rskrylov.operators import as_vector
 
 
-def test_matvec_identity():
-    A = rk.sparse_from_triplets(3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
-    assert_allclose(rk.matvec(A, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-
-def test_matvec_2x2():
-    A = rk.sparse_from_triplets(2, [0, 1], [1, 0], [1.0, 2.0])
-    assert_allclose(rk.matvec(A, [3.0, 4.0]), [4.0, 6.0])
-
-
-def test_matvec_bvp_nullspace():
-    A = rk.make_bvp_matrix(rk.BvpSpec(m=10, d=10.0))
-    out = rk.matvec(A, np.ones(100))
-    assert np.linalg.norm(out) <= 1e-12
-
-
-def test_matvec_dimension_mismatch():
-    A = np.eye(3)
-    with pytest.raises(ValueError):
-        rk.matvec(A, np.ones(4))
-
-
-def test_norm2():
-    assert rk.norm2([0.0, 0.0, 0.0]) == 0.0
-    assert rk.norm2([3.0, 4.0]) == 5.0
-    assert rk.norm2([1.0, 1.0, 1.0, 1.0]) == 2.0
-
-
-def test_dot():
-    assert rk.dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert rk.dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-    v = [3.0, 4.0]
-    assert rk.dot(v, v) == rk.norm2(v) ** 2 == 25.0
-    with pytest.raises(ValueError):
-        rk.dot([1.0], [1.0, 2.0])
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_matvec_linearity(seed):
-    rng = np.random.default_rng(seed)
-    n = 30
-    A = rng.standard_normal((n, n))
-    u, v = rng.standard_normal(n), rng.standard_normal(n)
-    a, b = rng.standard_normal(2)
-    lhs = rk.matvec(A, a * u + b * v)
-    rhs = a * rk.matvec(A, u) + b * rk.matvec(A, v)
-    bound = 1e-12 * (np.linalg.norm(A @ u) + np.linalg.norm(A @ v))
-    assert np.linalg.norm(lhs - rhs) <= max(bound, 1e-13)
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_sparse_matches_dense(seed):
     rng = np.random.default_rng(seed)
