@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lifting import lift
@@ -46,6 +48,15 @@ class Histories:
         self.mv[row] = int(mv)
 
 
+def norm(v):
+    """Euclidean norm of a contiguous float64 vector, as a float.
+
+    The formula of ``np.linalg.norm`` for such a vector (``sqrt(v . v)``),
+    hence the same bits, without its dispatch.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def prepare(A, b, x0, opts, **overrides):
     """Normalize the solver inputs and compute the initial residual."""
     if opts is None:
@@ -72,7 +83,7 @@ def explicit_norms(A, b, x):
     """Recompute the residual and A-residual of an iterate (two matvecs)."""
     r = b - A.apply(x)
     ar = A.apply(r)
-    return r, float(np.linalg.norm(r)), float(np.linalg.norm(ar))
+    return r, norm(r), norm(ar)
 
 
 def maybe_lift(A, b, hist, x, x0, r_final, res_floor, termination, arn=None):
@@ -91,11 +102,11 @@ def maybe_lift(A, b, hist, x, x0, r_final, res_floor, termination, arn=None):
         return None
     if r_final is None:
         r_final = b - A.apply(x)
-    rnorm = float(np.linalg.norm(r_final))
+    rnorm = norm(r_final)
     if rnorm <= res_floor or rnorm == 0.0:
         return None
     if arn is None or np.isinf(arn):
-        arn = float(np.linalg.norm(A.apply(r_final)))
+        arn = norm(A.apply(r_final))
     if not arn * hist.res[0] <= LIFT_RHO * rnorm * hist.ares[0]:
         return None
     return lift(x, x0, r_final)

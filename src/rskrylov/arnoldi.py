@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._common import norm
 from .operators import aslinearoperator
 
 __all__ = ["ZeroSeedError", "ArnoldiState", "arnoldi_init", "arnoldi_step"]
@@ -136,16 +137,18 @@ def arnoldi_step(state, A):
         raise RuntimeError("cannot step an Arnoldi process past its breakdown")
     A = aslinearoperator(A)
     k = state.k
-    w = A.apply(state.vector(k))
-    wnorm = float(np.linalg.norm(w))
+    w = A.apply(state._V[k])
+    wnorm = norm(w)
     Vk = state._V[: k + 1]
-    h = Vk @ w
+    column = np.empty(k + 2)
+    h = np.matmul(Vk, w, out=column[: k + 1])
     w -= h @ Vk
     corr = Vk @ w
     w -= corr @ Vk
     h += corr
-    hnext = float(np.linalg.norm(w))
-    state._columns.append(np.append(h, hnext))
+    hnext = norm(w)
+    column[k + 1] = hnext
+    state._columns.append(column)
     state.k = k + 1
     if hnext <= state.breakdown_tol * max(1.0, wnorm) or state.k == state.n:
         state.broke_down = True

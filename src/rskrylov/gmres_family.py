@@ -50,6 +50,7 @@ from ._common import (
     build_report,
     explicit_norms,
     maybe_lift,
+    norm,
     prepare,
 )
 from .arnoldi import ZeroSeedError, arnoldi_init, arnoldi_step
@@ -110,7 +111,7 @@ class _Subproblem:
     def __init__(self, A, b, x_in, r0, opts, floors, hist):
         self.A, self.b, self.x_in, self.r0 = A, b, x_in, r0
         self.opts, self.floors, self.hist = opts, floors, hist
-        self.beta1 = float(np.linalg.norm(r0))
+        self.beta1 = norm(r0)
         self.closed = False
 
     def anchor(self, beta_hat):
@@ -149,13 +150,13 @@ class _Gmres(_Subproblem):
             self.t_prev, self.q_prev = self.qr.t[-1], self.qr.q_last
         tail = self.qr.append_column(col, 0.0)
         if k == 1:
-            self.anchor(self.beta1 * float(np.linalg.norm(col)))
+            self.anchor(self.beta1 * norm(col))
         return tail
 
     def ares_estimate(self, k, hess):
         # r_{k-1} = t_prev V_k q_prev, so A r_{k-1} = t_prev V_{k+1} H q_prev
         hq = hess.view(k + 1, k) @ self.q_prev
-        return abs(self.t_prev) * float(np.linalg.norm(hq))
+        return abs(self.t_prev) * norm(hq)
 
 
 class _Rrgmres(_Subproblem):
@@ -183,7 +184,7 @@ class _Rrgmres(_Subproblem):
         y = self.qr.solve(k - 1)
         w = hess.view(k + 1, k) @ (hess.view(k, k - 1) @ y)
         w[0] -= self.beta_hat
-        return float(np.linalg.norm(w))
+        return norm(w)
 
 
 class _TwoLevel(_Subproblem):
@@ -213,7 +214,7 @@ class _TwoLevel(_Subproblem):
             self.anchor(s)
             ar0 = (s, 0.0)
         else:  # A r0 = s V_2 h_1
-            self.anchor(s * float(np.linalg.norm(col1)))
+            self.anchor(s * norm(col1))
             ar0 = (s * col1[0], s * col1[1])
         if self.beta_hat <= self.opts.breakdown_tol:
             return _CycleResult(self.x_in, self.r0, CONVERGED, "aresidual", None, 0)
@@ -454,7 +455,7 @@ class _EstimateMonitor(_RecurrenceMonitor):
             self.residual_rule = False
             return None
         r = self.b - self.A.apply(x)
-        rn = float(np.linalg.norm(r))
+        rn = norm(r)
         if rn > 10.0 * self.floors["res"]:
             self.residual_rule = False
             return None
@@ -526,7 +527,7 @@ def _solve(method, kind, A, b, x0, opts, options):
     """Restart cycles of subproblem class ``kind`` until one ends the run."""
     A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
     hist = Histories()
-    beta1 = float(np.linalg.norm(r0))
+    beta1 = norm(r0)
     if beta1 <= opts.breakdown_tol:
         return _trivial_report(method, A, x0, beta1, hist)
     # The initial estimate is of the minimized norm (|A r0| comes later).

@@ -12,6 +12,12 @@ Rotations use the convention ``[[c, s], [-s, c]]`` with signs chosen so
 every diagonal entry of ``R`` is nonnegative, which makes the factors
 deterministic.
 
+A solve of the leading ``k x k`` block raises
+:class:`SingularTriangularError` when the smallest ``|R[i, i]|`` of the
+block is at most ``1e-14`` times the largest.  Both extremes are recorded
+for every leading block as its column is appended (running minimum and
+maximum), so the guard costs O(1) per solve.
+
 Both factors also keep ``W = R^{-1}``, extended lazily: a solve of size
 ``k`` when ``W`` holds ``k - 1`` columns first appends column ``k`` as
 ``[-W r / rho; 1 / rho]`` (``r`` and ``rho`` the new column of ``R`` above
@@ -51,18 +57,22 @@ class ColumnBuffer:
         self.cols = 0
 
     def push(self, col):
-        rows = len(col)
+        self.new_column(len(col))[:] = col
+
+    def new_column(self, rows):
+        """Add a column and return the view of its first ``rows`` entries,
+        for the caller to fill in place."""
         cap_rows, cap_cols = self._a.shape
-        shape = (
-            cap_rows if rows <= cap_rows else max(2 * cap_rows, rows),
-            cap_cols if self.cols < cap_cols else 2 * cap_cols,
-        )
-        if shape != self._a.shape:
+        if rows > cap_rows or self.cols == cap_cols:
+            shape = (
+                cap_rows if rows <= cap_rows else max(2 * cap_rows, rows),
+                cap_cols if self.cols < cap_cols else 2 * cap_cols,
+            )
             grown = np.zeros(shape)
             grown[:cap_rows, :cap_cols] = self._a
             self._a = grown
-        self._a[:rows, self.cols] = col
         self.cols += 1
+        return self._a[:rows, self.cols - 1]
 
     def view(self, rows, cols):
         """The leading ``rows x cols`` block (a view, not a copy)."""
@@ -98,11 +108,28 @@ def _rotate_rows(col, rotations):
 
 class _TriangularFactor:
     """Storage of the ``k x k`` triangular factor shared by both QRs, and
-    of its inverse as far as solves have needed it."""
+    of its inverse as far as solves have needed it.  ``_lo[j]`` and
+    ``_hi[j]`` are the smallest and largest ``|R[i, i]|`` over ``i <= j``
+    (``nan`` once a ``nan`` enters, as ``np.min`` and ``np.max`` give).
+    """
 
     def __init__(self):
         self._r = ColumnBuffer()
         self._w = ColumnBuffer()
+        self._lo = []
+        self._hi = []
+
+    def _push(self, col):
+        """Append column ``k`` (its first ``k + 1`` entries are used)."""
+        j = self.k
+        d = abs(col[j])
+        if j == 0 or d != d:
+            lo = hi = d
+        else:
+            lo, hi = min(self._lo[-1], d), max(self._hi[-1], d)
+        self._lo.append(lo)
+        self._hi.append(hi)
+        self._r.push(col[: j + 1])
 
     @property
     def k(self):
@@ -116,10 +143,9 @@ class _TriangularFactor:
 
     @rcols.setter
     def rcols(self, cols):
-        self._r = ColumnBuffer()
-        self._w = ColumnBuffer()
+        _TriangularFactor.__init__(self)
         for col in cols:
-            self._r.push(col)
+            self._push(col)
 
     def r_matrix(self, size=None):
         """Dense triangular factor (leading ``size`` columns)."""
@@ -136,17 +162,19 @@ class _TriangularFactor:
         rhs = np.asarray(rhs[:size], dtype=np.float64)
         if size == 0:
             return np.zeros(0)
-        R = self._r.view(size, size)
-        diag = np.abs(R.diagonal())
-        if diag.min() <= 1e-14 * diag.max():
+        lo, hi = self._lo[size - 1], self._hi[size - 1]
+        if lo <= 1e-14 * hi:
             raise SingularTriangularError(
                 "triangular factor is numerically singular "
-                f"(min diag {diag.min():.3e}, max diag {diag.max():.3e})"
+                f"(min diag {lo:.3e}, max diag {hi:.3e})"
             )
+        R = self._r.view(size, size)
         j = self._w.cols
         if j == size - 1:
             rho = R[j, j]
-            self._w.push(np.append(self._w.view(j, j) @ R[:j, j] / -rho, 1.0 / rho))
+            col = self._w.new_column(j + 1)
+            np.divide(self._w.view(j, j) @ R[:j, j], -rho, out=col[:j])
+            col[j] = 1.0 / rho
         if self._w.cols >= size:
             return self._w.view(size, size) @ rhs
         return _back_substitute(R, rhs)
@@ -195,7 +223,7 @@ class HessenbergQr(_TriangularFactor):
         c, s, r = _givens(col[k], col[k + 1])
         col[k] = r
         self.rotations.append((c, s))
-        self._r.push(col[: k + 1])
+        self._push(col)
         self.t.append(float(rhs_append))
         tk, tk1 = self.t[k], self.t[k + 1]
         self.t[k] = c * tk + s * tk1
@@ -257,16 +285,23 @@ class HessenbergQrWithQ(HessenbergQr):
 
     def append_column(self, column, rhs_append=0.0):
         tail = super().append_column(column, rhs_append)
-        k = self.k - 1
         c, s = self.rotations[-1]
         # Q_{k+1} e_{k+1} = c * [qlast; 0] + s * e_{k+2} and the running
         # last column becomes -s * [qlast; 0] + c * e_{k+2}.
-        qpad = np.append(self.q_last, 0.0)
-        ek = np.zeros(k + 2)
-        ek[k + 1] = 1.0
-        self.q_new_col = c * qpad + s * ek
-        self.q_last = -s * qpad + c * ek
+        self.q_new_col = _combine(c, s, self.q_last)
+        self.q_last = _combine(-s, c, self.q_last)
         return tail
+
+
+def _combine(a, b, q):
+    """``a * [q; 0] + b * e_last``, entry by entry.  The zero terms are
+    added too: ``-0.0 + 0.0`` is ``+0.0``, so they fix the sign of zero
+    entries exactly as the dense sum does."""
+    out = np.empty(len(q) + 1)
+    head = np.multiply(q, a, out=out[:-1])
+    head += b * 0.0
+    out[-1] = a * 0.0 + b * 1.0
+    return out
 
 
 class BandedQr(_TriangularFactor):
@@ -309,7 +344,7 @@ class BandedQr(_TriangularFactor):
             col[row + 1] = 0.0
             new_rots.append((row, c, s))
         self.rotations.extend(new_rots)
-        self._r.push(col[: k + 1])
+        self._push(col)
         self.t.append(0.0)
         _rotate_rows(self.t, new_rots)
         return abs(self.t[k + 1]), abs(self.t[k + 2])

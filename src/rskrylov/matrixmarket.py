@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .operators import sparse_from_triplets
+from .operators import as_vector, sparse_from_triplets
 
 __all__ = [
     "MatrixMarketError",
@@ -203,21 +203,39 @@ def write_matrix_market(path, A, comment=None):
 
 def read_vector(path):
     """Read a dense vector: one floating-point value per line, '%' or '#'
-    comments allowed."""
-    values = []
+    comments and blank lines allowed.
+
+    A text whose every line is a value is converted in one array
+    operation, which reads each line with ``float``.  Otherwise (comments,
+    blank lines, a bad value) the lines are read one at a time, and a bad
+    value is reported with its ``path:lineno:`` prefix.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(("%", "#")):
-                continue
-            try:
-                values.append(float(stripped))
-            except ValueError as exc:
-                raise MatrixMarketError(f"{path}:{lineno}: bad value: {exc}")
+        text = fh.read()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a newline, or is empty
+    try:
+        return np.array(lines, dtype=np.float64)
+    except ValueError:
+        pass
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(("%", "#")):
+            continue
+        try:
+            values.append(float(stripped))
+        except ValueError as exc:
+            raise MatrixMarketError(f"{path}:{lineno}: bad value: {exc}")
     return np.asarray(values, dtype=np.float64)
 
 
 def write_vector(path, v):
+    """Write a vector one value per line, each as the shortest decimal
+    that round-trips (``repr``)."""
+    v = as_vector(v)
     with open(path, "w", encoding="utf-8") as fh:
-        for x in np.asarray(v, dtype=np.float64):
-            fh.write(f"{float(x)!r}\n")
+        for start in range(0, len(v), _WRITE_BLOCK):
+            block = v[start : start + _WRITE_BLOCK].tolist()
+            fh.write("\n".join(map(repr, block)) + "\n")

@@ -27,6 +27,7 @@ from ._common import (
     build_report,
     explicit_norms,
     maybe_lift,
+    norm,
     prepare,
 )
 from .operators import CONVERGED, HAPPY_BREAKDOWN, MAXIT, SINGULAR_FINAL_SYSTEM
@@ -42,7 +43,7 @@ def minres_solve(A, b, x0=None, opts=None, **options):
     """
     A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
     hist = Histories()
-    beta1 = float(np.linalg.norm(r0))
+    beta1 = norm(r0)
     if beta1 <= opts.breakdown_tol:
         return _trivial_report("minres", A, x0, beta1, hist)
     hist.append(beta1, np.nan, beta1, A.count)
@@ -68,12 +69,12 @@ def minres_solve(A, b, x0=None, opts=None, **options):
     for k in range(1, maxit + 1):
         w = A.apply(v)
         if k == 1:
-            beta_hat = beta1 * float(np.linalg.norm(w))
+            beta_hat = beta1 * norm(w)
             hist.ares[0] = beta_hat
             ares_floor = opts.tol * beta_hat
         alpha = float(v @ w)
         w -= alpha * v + beta_k * v_prev
-        beta_next = float(np.linalg.norm(w))
+        beta_next = norm(w)
 
         # Rotate column k of the tridiagonal factor.
         eps_k = s_km2 * beta_k
@@ -168,11 +169,11 @@ def minares1_solve(A, b, x0=None, opts=None, callback=None, **options):
     """
     A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
     hist = Histories()
-    beta1 = float(np.linalg.norm(r0))
+    beta1 = norm(r0)
     if beta1 <= opts.breakdown_tol:
         return _trivial_report("minares", A, x0, beta1, hist)
     ar0 = A.apply(r0)
-    beta_hat = float(np.linalg.norm(ar0))
+    beta_hat = norm(ar0)
     hist.append(beta1, beta_hat, beta_hat, A.count)
     if beta_hat <= opts.breakdown_tol:
         return build_report(
@@ -200,11 +201,11 @@ def minares1_solve(A, b, x0=None, opts=None, callback=None, **options):
 
     for k in range(1, maxit + 1):
         av = A.apply(vhat)
-        nav = float(np.linalg.norm(av))
+        nav = norm(av)
         v_next = av - beta_k * vhat_prev
         alpha_k = float(vhat @ v_next)
         v_next -= alpha_k * vhat
-        beta_next = float(np.linalg.norm(v_next))
+        beta_next = norm(v_next)
         tscale = max(tscale, abs(alpha_k) + beta_next, nav)
 
         lam_km1 = c_km1 * lam_tilde_km1 + s_km1 * alpha_k

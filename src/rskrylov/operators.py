@@ -6,6 +6,12 @@ arrays.  Sparse matrices are scipy CSR matrices (build them with
 Anything that can only be applied through matrix-vector products is
 wrapped in a :class:`LinearOperator`.
 
+A matrix is checked once, when it is wrapped: a non-finite entry is a
+``ValueError``.  The solvers then apply it without further checks.  The
+output of a user-supplied ``LinearOperator`` callable is checked on every
+apply instead: it is converted to a contiguous float64 vector and its
+length must be ``n``.
+
 All of these objects are treated as immutable after construction: the
 solvers never write into ``A``, ``b`` or ``x0``, so one system may be
 shared by concurrent solves.
@@ -59,6 +65,10 @@ class LinearOperator:
         deterministic and linear up to rounding.
     """
 
+    # Whether ``_apply`` is a matrix product known to map a contiguous
+    # float64 vector to a new one, whose output needs no check.
+    _product = False
+
     def __init__(self, n, apply_fn):
         self.n = int(n)
         self._apply = apply_fn
@@ -76,18 +86,29 @@ class LinearOperator:
 
 
 def aslinearoperator(A):
-    """Wrap a dense array, sparse matrix, or LinearOperator uniformly."""
+    """Wrap a dense array, sparse matrix, or LinearOperator uniformly.
+
+    A matrix with a non-finite entry is rejected with ``ValueError``.  The
+    entries behind a ``LinearOperator`` are not visible; its outputs are
+    converted and their length checked on every apply instead.
+    """
     if isinstance(A, LinearOperator):
         return A
     if sp.issparse(A):
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"operator must be square, got shape {A.shape}")
-        csr = A.tocsr()
-        return LinearOperator(csr.shape[0], lambda v: csr @ v)
-    M = np.asarray(A, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"operator must be a square matrix, got shape {M.shape}")
-    return LinearOperator(M.shape[0], lambda v: M @ v)
+        M = A.tocsr().astype(np.float64, copy=False)
+        entries = M.data
+    else:
+        M = np.asarray(A, dtype=np.float64)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"operator must be a square matrix, got shape {M.shape}")
+        entries = M
+    if not np.isfinite(entries).all():
+        raise ValueError("A has non-finite entries")
+    op = LinearOperator(M.shape[0], M.__matmul__)
+    op._product = True
+    return op
 
 
 def sparse_from_triplets(n, rows, cols, values):
@@ -179,13 +200,21 @@ class SolveReport:
 
 
 class CountingOperator(LinearOperator):
-    """Wrapper that counts how many times the operator is applied."""
+    """Wrapper that counts how many times the operator is applied.
+
+    The solvers pass it only contiguous float64 vectors of length ``n``,
+    so an operator built from a matrix is applied directly; a
+    user-supplied callable still has its output checked and converted.
+    """
 
     def __init__(self, A):
         inner = aslinearoperator(A)
         super().__init__(inner.n, inner._apply)
+        self._product = inner._product
         self.count = 0
 
     def apply(self, v):
         self.count += 1
+        if self._product:
+            return self._apply(v)
         return super().apply(v)

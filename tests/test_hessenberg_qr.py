@@ -117,6 +117,23 @@ def test_solve_singular_guard():
         qr.solve()
 
 
+def test_guard_reads_the_leading_block():
+    qr = HessenbergQr(1.0)
+    qr.rcols = [np.array([2.0]), np.array([0.5, 1.0]), np.array([0.1, 0.2, 1e-16])]
+    qr.t = [2.0, 1.0, 1.0, 0.0]
+    # Only the last pivot is tiny: the leading 2 x 2 block is well
+    # conditioned, the full factor is not.
+    assert_allclose(qr.solve(2), [0.75, 1.0])
+    with pytest.raises(SingularTriangularError):
+        qr.solve()
+    # A new factor starts new extremes: its tiny leading pivot counts.
+    qr.rcols = [np.array([1e-16]), np.array([0.5, 1.0])]
+    with pytest.raises(SingularTriangularError):
+        qr.solve()
+    qr.rcols = [np.array([2.0]), np.array([0.5, 1.0])]
+    assert_allclose(qr.solve(), [0.75, 1.0])
+
+
 def test_solve_zero_pivot_raises_singular_error():
     for cols in ([np.array([0.0])], [np.array([1.0]), np.array([0.5, 0.0])]):
         qr = HessenbergQr(1.0)

@@ -224,6 +224,43 @@ def test_vector_roundtrip(tmp_path):
     assert_allclose(read_vector(path), v, rtol=0, atol=0)
 
 
+def test_vector_roundtrip_bytes(tmp_path):
+    # Several write blocks, and values whose repr is not plain.
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(40_000) * 10.0 ** rng.integers(-300, 300, 40_000)
+    v[:5] = [np.inf, -np.inf, -0.0, 5e-324, 1e22]
+    path = tmp_path / "v.txt"
+    write_vector(path, v)
+    assert path.read_text() == "".join(f"{x!r}\n" for x in v.tolist())
+    assert read_vector(path).tobytes() == v.tobytes()
+
+
+def test_read_vector_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("% header\n1.5\n\n# note\n  -2.0  \n   \n3e-3\n")
+    assert read_vector(path).tolist() == [1.5, -2.0, 3e-3]
+    path.write_text("1.5\n\n\t-2.0\n1_000\n")
+    assert read_vector(path).tolist() == [1.5, -2.0, 1000.0]
+    path.write_text("\n")
+    assert read_vector(path).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("1.0\n\n2.0\nabc\n", 4),
+        ("1.0\n2.0 3.0\n", 2),
+        ("2.0 3.0\n", 1),
+        ("% c\n1.0\n\n1.0,\n", 4),
+    ],
+)
+def test_read_vector_bad_value_line_number(tmp_path, text, lineno):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError, match=f"v.txt:{lineno}: bad value"):
+        read_vector(path)
+
+
 def test_history_csv_header_only(tmp_path):
     path = tmp_path / "h.csv"
     write_history_csv([], path)

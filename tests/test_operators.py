@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import rskrylov as rk
@@ -57,10 +58,29 @@ def test_report_iterations_property():
 
 
 @pytest.mark.parametrize("method", sorted(rk.SOLVERS))
-@pytest.mark.parametrize("where", ["b", "x0"])
+@pytest.mark.parametrize("where", ["b", "x0", "A"])
 def test_non_finite_input_rejected(method, where):
-    A = np.diag([1.0, 2.0, 0.0])
-    vectors = {"b": np.ones(3), "x0": np.zeros(3)}
-    vectors[where][1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        rk.SOLVERS[method](A, vectors["b"], x0=vectors["x0"])
+    A = np.diag([1.0, 2.0, 0.0, 3.0])
+    b, x0 = np.ones(4), np.zeros(4)
+    target = {"A": A[0], "b": b, "x0": x0}[where]  # A[0] is a view of row 0
+    target[1] = np.nan
+    with pytest.raises(ValueError, match=f"{where} has non-finite"):
+        rk.SOLVERS[method](A, b, x0=x0)
+    if where == "A":
+        with pytest.raises(ValueError, match="A has non-finite"):
+            rk.SOLVERS[method](sp.csr_matrix(A), b, x0=x0)
+
+
+@pytest.mark.parametrize("method", sorted(rk.SOLVERS))
+def test_linear_operator_output_checked_in_a_solve(method):
+    A = np.diag([1.0, 2.0, 0.0, 3.0])
+    b = np.array([1.0, 1.0, 0.0, 1.0])
+    ref = rk.SOLVERS[method](A, b)
+    # A list is converted, with the same floats.
+    as_list = rk.LinearOperator(4, lambda v: (A @ v).tolist())
+    rep = rk.SOLVERS[method](as_list, b)
+    assert rep.solution.tobytes() == ref.solution.tobytes()
+    assert rep.matvec_count == ref.matvec_count
+    short = rk.LinearOperator(4, lambda v: (A @ v)[:3])
+    with pytest.raises(ValueError, match="length 3, expected 4"):
+        rk.SOLVERS[method](short, b)
