@@ -161,23 +161,34 @@ class _Gmres(_Subproblem):
 
 class _Rrgmres(_Subproblem):
     """Residual norm over the space of ``A r0``: the projected right-hand
-    side ``V^T r0`` grows one entry per step."""
+    side ``g = V^T r0`` grows one entry per step.
+
+    The residual of iterate ``k`` is ``V_{k+1} (g - H y)`` plus the part
+    ``p = r0 - V_{k+1} g`` of ``r0`` outside the basis, so its norm is the
+    root sum of squares of the subproblem tail and ``|p|``.  ``p`` is kept
+    as a vector: the scalar form ``|r0|^2 - |g|^2`` cancels to zero once
+    ``|p|`` falls below ``1e-8 |r0|``.
+    """
 
     hat = True
     lift = False
 
     def start(self):
         self.anchor(self.state.seed_norm)
-        g0 = float(self.state.vector(0) @ self.r0)
+        v = self.state.vector(0)
+        g0 = float(v @ self.r0)
         self.qr = HessenbergQr(g0)
-        self.gnorm2 = g0 * g0
+        self.p = self.r0 - g0 * v
 
     def step(self, k):
         self.closed = arnoldi_step(self.state, self.A) == "breakdown"
-        gk = 0.0 if self.closed else float(self.state.vector(k) @ self.r0)
+        gk = 0.0
+        if not self.closed:
+            v = self.state.vector(k)
+            gk = float(v @ self.r0)
+            self.p -= gk * v
         tail = self.qr.append_column(self.state.column(k - 1), gk)
-        self.gnorm2 += gk * gk
-        return np.sqrt(max(tail**2 + self.beta1**2 - self.gnorm2, 0.0))
+        return float(np.hypot(tail, norm(self.p)))
 
     def ares_estimate(self, k, hess):
         # A r_{k-1} = V_{k+1} (beta_hat e1 - H_{k+1,k} H_{k,k-1} y_{k-1})

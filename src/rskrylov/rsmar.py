@@ -13,7 +13,11 @@ stops and lifts them exactly as it does the GMRES family.
 projected subproblem is then a plain Hessenberg least squares problem and
 the tail of its rotated right-hand side is the A-residual norm; the
 iterate is mapped back to the residual-seeded space through the
-triangular change-of-basis matrix ``[bhat1 e1, Hhat_{k,k-1}]``.  This
+triangular change-of-basis matrix ``[bhat1 e1, Hhat_{k,k-1}]``, solved
+at every step by block back substitution (``solve_upper``).  Its inverse,
+built a column at a time as the projected factors keep theirs, is
+unstable: on the m=50 grid with a consistent right-hand side it turns a
+230-step convergence into 370 steps and a singular final system.  This
 variant is known to go unstable on some consistent problems; it is kept
 faithful to that behavior (the histories expose it) rather than patched.
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 from ._common import explicit_norms  # noqa: F401
 from .arnoldi import arnoldi_step
 from .gmres_family import _solve, _Subproblem, _TwoLevel
-from .hessenberg_qr import ColumnBuffer, HessenbergQr, _back_substitute
+from .hessenberg_qr import ColumnBuffer, HessenbergQr, solve_upper
 
 __all__ = ["rsmar1_solve", "rsmar2_solve"]
 
@@ -61,7 +65,7 @@ class _Rsmar1(_Subproblem):
         ``[bhat1 e1, Hhat_{k,k-1}] y = zhat``, and return
         ``x_in + [r0, Vhat_{k-1}] y``."""
         zhat = self.qr.solve(k)
-        y = _back_substitute(self.change.view(k, k), zhat)
+        y = solve_upper(self.change.view(k, k), zhat)
         x = self.x_in + y[0] * self.r0
         if k > 1:
             x = x + self.state.basis(k - 1) @ y[1:]

@@ -244,6 +244,18 @@ def test_estimate_tracks_explicit_residual():
     assert dev <= 1e-8 * rep.residual_history[0]
 
 
+def test_rrgmres_estimate_tracks_explicit_residual_on_grid():
+    # |r0|^2 - |V^T r0|^2 cancels to zero on this consistent system once
+    # the residual falls below about 1e-8 |r0|; the out-of-basis part of
+    # r0, kept as a vector, does not.
+    spec = rk.BvpSpec(m=20, d=10.0)
+    A = rk.make_bvp_matrix(spec)
+    b = rk.make_bvp_rhs(spec, "consistent_random", 0, A)
+    rep = rk.rrgmres_solve(A, b, tol=1e-12, maxit=400)
+    ratio = rep.estimate_history / rep.residual_history
+    assert np.all(np.abs(ratio - 1.0) <= 0.01)
+
+
 def test_matvec_count_exact_estimate_mode():
     # estimate mode: one matvec per Arnoldi step, one seed matvec for the
     # hat-space methods, two closure recomputations when the run ends at

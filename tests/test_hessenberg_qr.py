@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 import rskrylov as rk
 from rskrylov import BandedQr, HessenbergQr, SingularTriangularError
-from rskrylov.hessenberg_qr import _back_substitute
+from rskrylov.hessenberg_qr import ColumnBuffer, solve_upper
 
 
 def hessenberg_from_arnoldi(A, seed, steps):
@@ -169,15 +170,14 @@ def test_solve_after_every_append_matches_back_substitution(seed):
         for k, col in enumerate(cols, start=1):
             qr.append_column(col)
             R = qr.r_matrix()
-            _assert_close_rel(qr.solve(k), _back_substitute(R, np.asarray(qr.t[:k])))
+            _assert_close_rel(qr.solve(k), solve_triangular(R, qr.t[:k]))
             if isinstance(qr, HessenbergQr):
                 rhs = rng.standard_normal(k)
-                _assert_close_rel(qr.apply_rinv(rhs, k), _back_substitute(R, rhs))
+                _assert_close_rel(qr.apply_rinv(rhs, k), solve_triangular(R, rhs))
         # a leading block of the inverse solves a leading block of R
         size = qr.k // 2
         _assert_close_rel(
-            qr.solve(size),
-            _back_substitute(qr.r_matrix(size), np.asarray(qr.t[:size])),
+            qr.solve(size), solve_triangular(qr.r_matrix(size), qr.t[:size])
         )
 
 
@@ -186,8 +186,32 @@ def test_single_final_solve_is_back_substitution(seed):
     for qr, cols in _growing_factors(seed):
         for col in cols:
             qr.append_column(col)
-        ref = _back_substitute(qr.r_matrix(), np.asarray(qr.t[: qr.k]))
-        assert np.array_equal(qr.solve(), ref)
+        R, t = qr.r_matrix(), np.asarray(qr.t[: qr.k])
+        z = qr.solve()
+        _assert_close_rel(z, solve_triangular(R, t))
+        # the bits of back substitution, not of a product with R^{-1}
+        assert np.array_equal(z, solve_upper(R, t))
+
+
+def test_back_substitution_of_a_column_buffer():
+    # The change of basis of rsmar1 and the fallback solve hand solve_upper
+    # a leading block of a ColumnBuffer, a strided view into a larger
+    # array; past 32 rows it works in more than one block.
+    rng = np.random.default_rng(7)
+    buf = ColumnBuffer()
+    strided = 0
+    for k in range(1, 65):
+        col = rng.standard_normal(k)
+        col[-1] = 2.0 + abs(col[-1])
+        buf.push(col)
+        R = buf.view(k, k)
+        rhs = rng.standard_normal(k)
+        kept = rhs.copy()
+        z = solve_upper(R, rhs)
+        _assert_close_rel(z, solve_triangular(R, rhs))
+        assert np.array_equal(rhs, kept)
+        strided += not R.flags.c_contiguous
+    assert strided > 50
 
 
 def test_assigning_rcols_discards_inverse():

@@ -145,6 +145,18 @@ def test_rsmar1_instability_is_surfaced_not_patched():
     assert np.all(np.isfinite(rep.aresidual_history))
 
 
+def test_rsmar1_change_of_basis_is_back_substituted():
+    # rsmar1 solves its change of basis [bhat1 e1, Hhat] by back
+    # substitution.  Through a column-by-column inverse of that triangle
+    # this run took 370 iterations and ended singular_final_system.
+    spec = rk.BvpSpec(m=50, d=10.0)
+    A = rk.make_bvp_matrix(spec)
+    b = rk.make_bvp_rhs(spec, "consistent_random", 0, A)
+    rep = rk.rsmar1_solve(A, b, tol=1e-12, maxit=400)
+    assert rep.termination == rk.CONVERGED
+    assert rep.iterations <= 240
+
+
 def test_zero_rhs():
     for method in ("rsmar1", "rsmar2"):
         rep = rk.SOLVERS[method](np.eye(3), np.zeros(3))
