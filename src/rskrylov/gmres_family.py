@@ -1,4 +1,4 @@
-"""Long-recurrence Krylov solvers: one restart-cycle driver, five subproblems.
+"""Krylov solvers: one restart-cycle driver, seven subproblems.
 
 GMRES, RRGMRES, DGMRES and the two RSMAR variants (:mod:`rskrylov.rsmar`)
 differ only in the norm they minimize over a Krylov space, ``|r|``
@@ -7,7 +7,8 @@ seed of their Arnoldi process, ``r0`` (GMRES, RSMAR2) or ``A r0``
 (RRGMRES, DGMRES, RSMAR1).  RRGMRES and DGMRES search the range-restricted
 space, which keeps their iterates in range(A): with a zero initial guess
 on a singular range-symmetric system their final iterate is the
-pseudoinverse solution.
+pseudoinverse solution.  MINRES and MINARES (:mod:`rskrylov.minres_family`)
+are their short-recurrence counterparts for symmetric systems.
 
 :func:`_cycle` runs one restart cycle of any of them.  A method supplies
 only a :class:`_Subproblem`: its seed and initial history values, its
@@ -26,15 +27,15 @@ numerically nonsingular, its minimized norm is not above the last one
 recorded and its A-residual norm not above the smallest one seen in the
 cycle.  Otherwise the square system is the signature of an inconsistent
 system: the best least squares iterate is returned as
-``singular_final_system``, and GMRES and the two RSMAR variants apply the
+``singular_final_system``, and all but RRGMRES and DGMRES apply the
 rank-one lift to it to recover the minimum-norm least squares solution.
 
 Without explicit monitoring (``record_explicit=False``) GMRES and RRGMRES
 stop on a matvec-free estimate of the A-residual norm of the previous
 iterate, available one Arnoldi step late, and return a best iterate that
 has been checked explicitly whenever the estimates cannot be trusted
-(:class:`_EstimateMonitor`).  The A-residual minimizers' recurrence value
-is the estimate (:class:`_RecurrenceMonitor`).
+(:class:`_EstimateMonitor`).  The other methods stop on the recurrence
+value of their minimized norm (:class:`_RecurrenceMonitor`).
 """
 
 from __future__ import annotations
@@ -94,25 +95,36 @@ class _Subproblem:
     Class attributes hold what follows from the method: ``hat`` (the
     Arnoldi seed is ``A r0``, not ``r0``), ``minimized`` (index of the
     minimized norm in ``(|r|, |A r|)``), ``two_level`` (Arnoldi runs one
-    step ahead, so closure shows before the row of iterate ``k`` exists)
-    and ``lift`` (the final iterate may need the rank-one lift).
+    step ahead, so closure shows before the row of iterate ``k`` exists),
+    ``lift`` (the final iterate may need the rank-one lift), ``restarts``
+    (``opts.restart`` applies) and ``polish`` (steps run on past the
+    A-residual floor before the best iterate is returned).
 
-    A method supplies :meth:`start` (after the Arnoldi run is seeded; may
-    end the cycle), :meth:`step` (one append; returns the recurrence value
-    of the minimized norm and sets ``closed``), :meth:`iterate` and
-    :meth:`closure`.
+    A method supplies :meth:`seed` (by default the Arnoldi start followed
+    by :meth:`start`; may end the cycle), :meth:`step` (one append;
+    returns the recurrence value of the minimized norm and sets
+    ``closed``), :meth:`iterate` and :meth:`closure`.
     """
 
     hat = False
     minimized = 0
     two_level = False
     lift = True
+    restarts = True
+    polish = 0
 
     def __init__(self, A, b, x_in, r0, opts, floors, hist):
         self.A, self.b, self.x_in, self.r0 = A, b, x_in, r0
         self.opts, self.floors, self.hist = opts, floors, hist
         self.beta1 = norm(r0)
         self.closed = False
+
+    def seed(self):
+        """Start the Arnoldi run on ``r0`` or ``A r0``, then the method's
+        :meth:`start`; raises :class:`ZeroSeedError` on a vanishing seed."""
+        v = self.A.apply(self.r0) if self.hat else self.r0
+        self.state = arnoldi_init(self.A, v, self.opts.breakdown_tol)
+        return self.start()
 
     def anchor(self, beta_hat):
         """Take ``beta_hat = |A r0|``; the first cycle also records it in
@@ -272,8 +284,8 @@ class _Monitor:
 
     Owns the stopping rules, the best least squares candidate of the cycle
     (``x_lsq``, smallest explicit ``|A r|``, the fallback whenever the
-    subproblem degenerates), the growth guard, the closure guard and the
-    ``maxit`` tail.
+    subproblem degenerates), the growth guard, the closure guard, the
+    polish past the A-residual floor and the ``maxit`` tail.
     """
 
     def __init__(self, sub):
@@ -285,6 +297,7 @@ class _Monitor:
         # |r0| of the cycle, or to |A r0| of the run
         self.slack = 1e-12 * (self.hist.ares[0] if sub.minimized else sub.beta1)
         self.x_best = self.r_best = None  # the last iterate recorded
+        self.polish_left = sub.polish
 
     def advance(self, k):
         """Rules that run before the closure check (none here)."""
@@ -316,13 +329,17 @@ class _Monitor:
         if rn <= floors["res"]:
             return _CycleResult(x, r, CONVERGED, "residual", None, k, arn)
         if arn <= floors["ares"]:
-            return _CycleResult(x, r, CONVERGED, "aresidual", None, k, arn)
+            # Past the floor a polishing method runs on (the first hit
+            # counts) while |A r| keeps improving, then returns the best;
+            # at the first hit the best is this iterate.
+            if self.polish_left <= 0 or arn > self.arn_lsq:
+                return self._lsq(CONVERGED, "aresidual", None, k)
+            self.polish_left -= 1
         return None
 
     def closure(self, k, est):
         """Accept the square solve at closure unless it is singular."""
         hist = self.hist
-        ell = self.sub.state.breakdown_step
         try:
             x = self.sub.closure(k)
             r, rn, arn = explicit_norms(self.A, self.b, x)
@@ -338,15 +355,20 @@ class _Monitor:
             singular = True
         if not singular:
             hist.append(rn, arn, est, self.A.count)
-            return _CycleResult(x, r, HAPPY_BREAKDOWN, None, ell, k, arn)
-        return self.singular(k, est, ell)
+            return _CycleResult(x, r, HAPPY_BREAKDOWN, None, k, k, arn)
+        return self.singular(k, est)
 
-    def singular(self, k, est, ell):
+    def singular(self, k, est):
+        """``singular_final_system`` at closure in step ``k``."""
         # A two-level method sees closure before iterate k has a history
         # row: it adds none and reports k - 1 iterations.
         if self.sub.two_level:
-            return self.best_lsq(k - 1, ell)
-        return self.best_lsq(k, ell, est)
+            return self.best_lsq(k - 1, k)
+        return self.best_lsq(k, k, est)
+
+    def _lsq(self, termination, stop_rule, ell, iters):
+        x, r, arn = self.x_lsq, self.r_lsq, self.arn_lsq
+        return _CycleResult(x, r, termination, stop_rule, ell, iters, arn)
 
     def best_lsq(self, iters, ell=None, est=None):
         """``singular_final_system`` with the best least squares iterate;
@@ -357,31 +379,43 @@ class _Monitor:
                     self.A, self.b, self.x_lsq
                 )
             self.hist.append(self.rn_lsq, self.arn_lsq, est, self.A.count)
-        x, r, arn = self.x_lsq, self.r_lsq, self.arn_lsq
-        return _CycleResult(x, r, SINGULAR_FINAL_SYSTEM, None, ell, iters, arn)
+        return self._lsq(SINGULAR_FINAL_SYSTEM, None, ell, iters)
 
     def tail(self, budget):
+        if self.polish_left < self.sub.polish:  # the floor was reached
+            return self._lsq(CONVERGED, "aresidual", None, budget)
         return _CycleResult(self.x_best, self.r_best, MAXIT, None, None, budget)
 
 
 class _RecurrenceMonitor(_Monitor):
-    """Estimate mode of the A-residual minimizers: the recurrence value is
-    the A-residual norm, recorded in its column; the run stops once it is
-    at ``tol |A r0|``.  ``x_lsq`` stays at ``x_in``."""
+    """Estimate mode of the methods without an A-residual estimate: the
+    recurrence value is the minimized norm, recorded in its column; the
+    run stops once it is at its floor.  ``x_lsq`` stays at ``x_in``, so a
+    singular closure returns the last iterate that can be rebuilt."""
+
+    def _rebuilt(self, k):
+        """Iterate ``k``, or ``x_in`` behind a singular factor."""
+        try:
+            return self.sub.iterate(k)
+        except SingularTriangularError:
+            return self.sub.x_in.copy()
 
     def record(self, k, est):
-        self.hist.append(np.nan, est, est, self.A.count)
-        if est <= self.floors["ares"]:
-            x = self.sub.iterate(k)
-            return _CycleResult(x, None, CONVERGED, "aresidual", None, k)
+        m = self.sub.minimized
+        row = [np.nan, np.nan]
+        row[m] = est
+        self.hist.append(*row, est, self.A.count)
+        if est <= self.floors[("res", "ares")[m]]:
+            rule = ("residual", "aresidual")[m]
+            return _CycleResult(self.sub.iterate(k), None, CONVERGED, rule, None, k)
         return None
 
+    def singular(self, k, est):
+        x = self._rebuilt(k - 1)
+        return _CycleResult(x, None, SINGULAR_FINAL_SYSTEM, None, k, k - 1)
+
     def tail(self, budget):
-        try:
-            x = self.sub.iterate(budget)
-        except SingularTriangularError:
-            x = self.sub.x_in.copy()
-        return _CycleResult(x, None, MAXIT, None, None, budget)
+        return _CycleResult(self._rebuilt(budget), None, MAXIT, None, None, budget)
 
 
 class _EstimateMonitor(_RecurrenceMonitor):
@@ -472,8 +506,8 @@ class _EstimateMonitor(_RecurrenceMonitor):
             return None
         return self._end(_Probe(k, x, r, rn, np.nan), CONVERGED, "residual", None)
 
-    def singular(self, k, est, ell):
-        return self.fallback(ell)
+    def singular(self, k, est):
+        return self.fallback(k)
 
     def fallback(self, ell, probe=None):
         """``singular_final_system`` with the best-estimate iterate, checked
@@ -503,25 +537,22 @@ class _EstimateMonitor(_RecurrenceMonitor):
 
 def _cycle(sub, budget):
     """One restart cycle of at most ``budget`` steps of any of the methods."""
-    A, opts = sub.A, sub.opts
-    seed = A.apply(sub.r0) if sub.hat else sub.r0
     try:
-        sub.state = arnoldi_init(A, seed, opts.breakdown_tol)
+        done = sub.seed()
     except ZeroSeedError:
         # The seed vanishes, so A r0 does: x_in already minimizes both
         # norms over x_in + range(A).
         sub.anchor(0.0)
         rule = "aresidual" if sub.hat else "residual"
         return _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0)
-    done = sub.start()
     if done is not None:
         return done
-    if opts.record_explicit:
+    if sub.opts.record_explicit:
         monitor = _Monitor(sub)
-    elif sub.minimized:
-        monitor = _RecurrenceMonitor(sub)
-    else:
+    elif hasattr(sub, "ares_estimate"):
         monitor = _EstimateMonitor(sub)
+    else:
+        monitor = _RecurrenceMonitor(sub)
     for k in range(1, budget + 1):
         est = sub.step(k)
         done = monitor.advance(k)
@@ -545,13 +576,14 @@ def _solve(method, kind, A, b, x0, opts, options):
     hist.append(beta1, np.nan, np.nan if kind.minimized else beta1, A.count)
     floors = {"res": opts.tol * beta1, "ares": None}
     budget = opts.maxit if opts.maxit is not None else A.n
+    restart = opts.restart if kind.restarts else None
     x, r = x0, r0
     while True:
-        size = budget if opts.restart is None else min(opts.restart, budget)
+        size = budget if restart is None else min(restart, budget)
         result = _cycle(kind(A, b, x, r, opts, floors, hist), size)
         budget -= result.iters
         x, r = result.x, result.r
-        if result.termination != MAXIT or budget <= 0 or opts.restart is None:
+        if result.termination != MAXIT or budget <= 0 or restart is None:
             break
         if r is None:
             r = b - A.apply(x)

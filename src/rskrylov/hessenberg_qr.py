@@ -216,18 +216,14 @@ class HessenbergQr(_TriangularFactor):
     After ``k`` column appends the object holds the rotation pairs, the
     ``k x k`` triangular factor, and ``t = Q^T g`` of length ``k + 1``
     where ``g`` collects the RHS entries passed to :meth:`append_column`.
-    The absolute tail entry ``|t[k]]`` is the subproblem's minimal
-    residual.
+    The absolute tail entry ``|t[k]|``, which :meth:`append_column`
+    returns, is the subproblem's minimal residual.
     """
 
     def __init__(self, rhs_seed):
         super().__init__()
         self.rotations = []
         self.t = [float(rhs_seed)]
-
-    @property
-    def tail(self):
-        return abs(self.t[-1])
 
     def _rotate(self, vec):
         """Apply the stored rotations in order to a list of floats."""
@@ -349,10 +345,6 @@ class BandedQr(_TriangularFactor):
         a, b = rhs_seed
         self.rotations = []  # (row, c, s) acting on (row, row + 1), in order
         self.t = [float(a), float(b)]
-
-    @property
-    def tail_pair(self):
-        return abs(self.t[-2]), abs(self.t[-1])
 
     def append_column(self, column):
         k = self.k

@@ -6,11 +6,18 @@ carrying two direction vectors so each iterate is updated in place.
 
 ``minares1_solve`` minimizes the A-residual norm instead, running the
 Lanczos process on the seed ``A r0`` with a reflection-based QR of the
-tridiagonal factor.  Storage stays at a fixed number of length-n vectors;
-no basis is retained.  Its scalar recurrences follow the reflection
+tridiagonal factor.  Its scalar recurrences follow the reflection
 convention ``[[c, s], [s, -c]]`` throughout, and its per-step scalar
 ``rho_k = |s_1 s_2 ... s_k| * ||A r_0||`` equals the A-residual norm of
 the iterate.
+
+Both are subproblems of the restart-cycle driver in
+:mod:`rskrylov.gmres_family`, which monitors, stops and lifts them as it
+does the five long-recurrence methods.  Each supplies only its Lanczos
+start and one step of its recurrence; storage stays at a fixed number of
+length-n vectors, no basis is retained, and ``opts.restart`` is ignored.
+The rotated tridiagonal factor turning numerically singular, or the
+Lanczos process closing, is a subspace closure.
 
 On singular symmetric systems with an inconsistent right-hand side both
 methods stop at the same terminal least squares iterate, and the rank-one
@@ -21,18 +28,146 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import (
-    Histories,
-    _trivial_report,
-    build_report,
-    explicit_norms,
-    maybe_lift,
-    norm,
-    prepare,
-)
-from .operators import CONVERGED, HAPPY_BREAKDOWN, MAXIT, SINGULAR_FINAL_SYSTEM
+# The driver calls explicit_norms through gmres_family; the name stays
+# bound here because perfbench/tracing.py wraps it in this module too.
+from ._common import explicit_norms  # noqa: F401
+from ._common import norm
+from .arnoldi import ZeroSeedError
+from .gmres_family import _solve, _Subproblem
+from .hessenberg_qr import SingularTriangularError
 
 __all__ = ["minres_solve", "minares1_solve"]
+
+
+class _ShortRecurrence(_Subproblem):
+    """A Lanczos recurrence that updates its iterate ``x`` once per step; a
+    singular rotated factor sets ``singular`` and leaves ``x`` as it was."""
+
+    restarts = False
+
+    def iterate(self, k):
+        """The iterate of the last step taken; the monitor asks for no
+        other."""
+        return self.x
+
+    def closure(self, k):
+        if self.singular:
+            raise SingularTriangularError("rotated tridiagonal factor is singular")
+        return self.x
+
+
+class _Minres(_ShortRecurrence):
+    """Residual norm over the space of ``r0``: ``|phi_bar|`` is the residual
+    norm.  Past the A-residual floor it polishes eight more steps."""
+
+    polish = 8
+
+    def seed(self):
+        n = self.A.n
+        self.v_prev, self.v = np.zeros(n), self.r0 / self.beta1
+        self.beta_k = 0.0
+        self.c1, self.s1, self.c2, self.s2 = 1.0, 0.0, 1.0, 0.0
+        self.phi_bar = self.beta1
+        self.w1, self.w2 = np.zeros(n), np.zeros(n)
+        self.x = self.x_in
+        self.tscale = 0.0
+
+    def step(self, k):
+        v = self.v
+        w = self.A.apply(v)
+        if k == 1:
+            self.anchor(self.beta1 * norm(w))
+        alpha = float(v @ w)
+        w -= alpha * v + self.beta_k * self.v_prev
+        beta_next = norm(w)
+
+        # Rotate column k of the tridiagonal factor.
+        eps = self.s2 * self.beta_k
+        mid = self.c2 * self.beta_k
+        delta = self.c1 * mid + self.s1 * alpha
+        gamma_t = -self.s1 * mid + self.c1 * alpha
+        gamma = float(np.hypot(gamma_t, beta_next))
+        self.tscale = max(self.tscale, abs(alpha) + abs(self.beta_k) + beta_next)
+        scale = max(1.0, self.tscale)
+        self.singular = gamma <= 1e-14 * scale
+        self.closed = self.singular or beta_next <= self.opts.breakdown_tol * scale
+        if self.singular:
+            return abs(self.phi_bar)
+        c, s = gamma_t / gamma, beta_next / gamma
+        phi = c * self.phi_bar
+        self.phi_bar = -s * self.phi_bar
+        w_dir = (v - delta * self.w1 - eps * self.w2) / gamma
+        self.x = self.x + phi * w_dir
+        if not self.closed:
+            self.v_prev, self.v = v, w / beta_next
+            self.beta_k = beta_next
+            self.c2, self.s2, self.c1, self.s1 = self.c1, self.s1, c, s
+            self.w2, self.w1 = self.w1, w_dir
+        return abs(self.phi_bar)
+
+
+class _Minares(_ShortRecurrence):
+    """A-residual norm over the space of ``r0``, Lanczos on ``A r0``:
+    ``rho = |t_tilde|`` is the A-residual norm.  The work vectors ``w``
+    are ``[r0, Vhat_{k-1}] Rtilde^{-1}``, a column per step."""
+
+    hat = True
+    minimized = 1
+
+    def seed(self):
+        A = self.A
+        ar0 = A.apply(self.r0)
+        self.hist.mv[0] = A.count  # the initial row counts the seed matvec
+        beta_hat = norm(ar0)
+        if beta_hat <= self.opts.breakdown_tol:
+            raise ZeroSeedError("A r0 is numerically zero")
+        self.anchor(beta_hat)
+        n = A.n
+        self.vhat_prev, self.vhat = np.zeros(n), ar0 / beta_hat
+        self.w_prev, self.w = np.zeros(n), self.r0 / beta_hat
+        self.p1, self.p2 = np.zeros(n), np.zeros(n)
+        self.t_tilde = beta_hat
+        self.c, self.s = -1.0, 0.0
+        self.lam_tilde = self.eta = 0.0
+        self.beta_k = beta_hat
+        self.x = self.x_in
+        self.tscale = 0.0
+
+    def step(self, k):
+        vhat = self.vhat
+        av = self.A.apply(vhat)
+        nav = norm(av)
+        v_next = av - self.beta_k * self.vhat_prev
+        alpha = float(vhat @ v_next)
+        v_next -= alpha * vhat
+        beta_next = norm(v_next)
+        self.tscale = max(self.tscale, abs(alpha) + beta_next, nav)
+
+        c1, s1 = self.c, self.s
+        lam = c1 * self.lam_tilde + s1 * alpha
+        delta_tilde = s1 * self.lam_tilde - c1 * alpha
+        delta = float(np.hypot(delta_tilde, beta_next))
+        self.singular = delta <= 1e-14 * max(1.0, self.tscale)
+        self.closed = self.singular or (
+            beta_next <= self.opts.breakdown_tol * max(1.0, nav)
+        )
+        if self.singular:
+            return abs(self.t_tilde)
+        c, s = delta_tilde / delta, beta_next / delta
+        t_hat = c * self.t_tilde
+        self.t_tilde = s * self.t_tilde
+        p = (self.w - self.eta * self.p2 - lam * self.p1) / delta
+        self.x = self.x + t_hat * p
+        if not self.closed:
+            # The w update divides by beta_next, which vanishes at closure.
+            w_next = (vhat - self.beta_k * self.w_prev - alpha * self.w) / beta_next
+            self.vhat_prev, self.vhat = vhat, v_next / beta_next
+            self.w_prev, self.w = self.w, w_next
+            self.p2, self.p1 = self.p1, p
+            self.beta_k = beta_next
+            self.c, self.s = c, s
+            self.lam_tilde, self.eta = -c1 * beta_next, s1 * beta_next
+        return abs(self.t_tilde)
 
 
 def minres_solve(A, b, x0=None, opts=None, **options):
@@ -41,234 +176,13 @@ def minres_solve(A, b, x0=None, opts=None, **options):
     Symmetry of ``A`` is a documented contract, not checked at runtime.
     ``opts.restart`` is ignored (the recurrence is already short).
     """
-    A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
-    hist = Histories()
-    beta1 = norm(r0)
-    if beta1 <= opts.breakdown_tol:
-        return _trivial_report("minres", A, x0, beta1, hist)
-    hist.append(beta1, np.nan, beta1, A.count)
-    maxit = opts.maxit if opts.maxit is not None else A.n
-    res_floor = opts.tol * beta1
-    ares_floor = None
-
-    v_prev = np.zeros(A.n)
-    v = r0 / beta1
-    beta_k = 0.0
-    c_km1, s_km1 = 1.0, 0.0
-    c_km2, s_km2 = 1.0, 0.0
-    phi_bar = beta1
-    w_km1 = np.zeros(A.n)
-    w_km2 = np.zeros(A.n)
-    x = x0.copy()
-    r_final = arn_final = None
-    x_lsq, r_lsq, arn_lsq = None, None, np.inf
-    polish_left = None
-    tscale = 0.0
-    termination, stop_rule, ell = MAXIT, None, None
-
-    for k in range(1, maxit + 1):
-        w = A.apply(v)
-        if k == 1:
-            beta_hat = beta1 * norm(w)
-            hist.ares[0] = beta_hat
-            ares_floor = opts.tol * beta_hat
-        alpha = float(v @ w)
-        w -= alpha * v + beta_k * v_prev
-        beta_next = norm(w)
-
-        # Rotate column k of the tridiagonal factor.
-        eps_k = s_km2 * beta_k
-        mid = c_km2 * beta_k
-        delta_k = c_km1 * mid + s_km1 * alpha
-        gamma_t = -s_km1 * mid + c_km1 * alpha
-        gamma_k = float(np.hypot(gamma_t, beta_next))
-        tscale = max(tscale, abs(alpha) + abs(beta_k) + beta_next)
-        if gamma_k <= 1e-14 * max(1.0, tscale):
-            # Singular square tridiagonal at subspace closure: the best
-            # iterate seen is the terminal least squares solution.
-            if x_lsq is not None:
-                x, r_final, arn_final = x_lsq, r_lsq, arn_lsq
-            termination = SINGULAR_FINAL_SYSTEM
-            ell = k
-            break
-        c_k = gamma_t / gamma_k
-        s_k = beta_next / gamma_k
-        phi_k = c_k * phi_bar
-        phi_bar = -s_k * phi_bar
-
-        w_dir = (v - delta_k * w_km1 - eps_k * w_km2) / gamma_k
-        x_prev = x
-        x = x + phi_k * w_dir
-        res_est = abs(phi_bar)
-
-        if opts.record_explicit:
-            r, rn, arn = explicit_norms(A, b, x)
-            if rn > hist.res[-1] * 2.0 + 1e-12 * beta1:
-                # A clear residual increase contradicts the minimization
-                # property: the recurrence has degenerated (effective
-                # subspace closure); keep the best iterate seen.
-                if x_lsq is not None:
-                    x, r_final, arn_final = x_lsq, r_lsq, arn_lsq
-                else:
-                    x = x_prev
-                termination = SINGULAR_FINAL_SYSTEM
-                break
-            hist.append(rn, arn, res_est, A.count)
-            r_final, arn_final = r, arn
-            if arn < arn_lsq:
-                x_lsq, r_lsq, arn_lsq = x, r, arn
-            if rn <= res_floor:
-                termination, stop_rule = CONVERGED, "residual"
-                break
-            if arn <= ares_floor:
-                # The A-residual monitor certifies a least squares iterate;
-                # polish a few more steps to its dip and return the best.
-                if polish_left is None:
-                    polish_left = 8
-                elif arn > arn_lsq or polish_left <= 0:
-                    x, r_final, arn_final = x_lsq, r_lsq, arn_lsq
-                    termination, stop_rule = CONVERGED, "aresidual"
-                    break
-                polish_left -= 1
-        else:
-            hist.append(res_est, np.nan, res_est, A.count)
-            if res_est <= res_floor:
-                termination, stop_rule = CONVERGED, "residual"
-                break
-
-        if beta_next <= opts.breakdown_tol * max(1.0, tscale):
-            termination, ell = HAPPY_BREAKDOWN, k
-            break
-
-        v_prev, v = v, w / beta_next
-        beta_k = beta_next
-        c_km2, s_km2 = c_km1, s_km1
-        c_km1, s_km1 = c_k, s_k
-        w_km2, w_km1 = w_km1, w_dir
-
-    if polish_left is not None and termination in (MAXIT, HAPPY_BREAKDOWN):
-        # the monitor certified convergence during the polish phase
-        x, r_final, arn_final = x_lsq, r_lsq, arn_lsq
-        termination, stop_rule = CONVERGED, "aresidual"
-    lifted = maybe_lift(
-        A, b, hist, x, x0, r_final, res_floor, termination, arn_final
-    )
-    return build_report(
-        "minres", x, lifted, hist, A.count, termination, stop_rule, ell
-    )
+    return _solve("minres", _Minres, A, b, x0, opts, options)
 
 
-def minares1_solve(A, b, x0=None, opts=None, callback=None, **options):
+def minares1_solve(A, b, x0=None, opts=None, **options):
     """Minimum A-residual iteration for symmetric systems, short form.
 
     Runs the Lanczos process on the seed ``A r0`` and updates the iterate
-    with a fixed set of work vectors.  ``callback``, if given, is invoked
-    once per iteration with a dict carrying ``k``, the current iterate
-    ``x``, the direction vectors ``w`` and ``p``, and ``rho``.
-    ``opts.restart`` is ignored.
+    with a fixed set of work vectors.  ``opts.restart`` is ignored.
     """
-    A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
-    hist = Histories()
-    beta1 = norm(r0)
-    if beta1 <= opts.breakdown_tol:
-        return _trivial_report("minares", A, x0, beta1, hist)
-    ar0 = A.apply(r0)
-    beta_hat = norm(ar0)
-    hist.append(beta1, beta_hat, beta_hat, A.count)
-    if beta_hat <= opts.breakdown_tol:
-        return build_report(
-            "minares", x0, None, hist, A.count, CONVERGED, "aresidual", None
-        )
-    maxit = opts.maxit if opts.maxit is not None else A.n
-    res_floor = opts.tol * beta1
-    ares_floor = opts.tol * beta_hat
-
-    vhat = ar0 / beta_hat
-    vhat_prev = np.zeros(A.n)
-    w_k = r0 / beta_hat
-    w_prev = np.zeros(A.n)
-    p_km1 = np.zeros(A.n)
-    p_km2 = np.zeros(A.n)
-    t_tilde = beta_hat
-    c_km1, s_km1 = -1.0, 0.0
-    lam_tilde_km1 = 0.0
-    eta_km2 = 0.0
-    beta_k = beta_hat
-    x = x0.copy()
-    r_final = arn_final = None
-    tscale = 0.0
-    termination, stop_rule, ell = MAXIT, None, None
-
-    for k in range(1, maxit + 1):
-        av = A.apply(vhat)
-        nav = norm(av)
-        v_next = av - beta_k * vhat_prev
-        alpha_k = float(vhat @ v_next)
-        v_next -= alpha_k * vhat
-        beta_next = norm(v_next)
-        tscale = max(tscale, abs(alpha_k) + beta_next, nav)
-
-        lam_km1 = c_km1 * lam_tilde_km1 + s_km1 * alpha_k
-        delta_tilde = s_km1 * lam_tilde_km1 - c_km1 * alpha_k
-        eta_km1 = s_km1 * beta_next
-        lam_tilde_k = -c_km1 * beta_next
-        delta_k = float(np.hypot(delta_tilde, beta_next))
-        if delta_k <= 1e-14 * max(1.0, tscale):
-            termination = SINGULAR_FINAL_SYSTEM
-            ell = k
-            break
-        c_k = delta_tilde / delta_k
-        s_k = beta_next / delta_k
-        t_hat = c_k * t_tilde
-        t_tilde = s_k * t_tilde
-        rho = abs(t_tilde)
-
-        p_k = (w_k - eta_km2 * p_km2 - lam_km1 * p_km1) / delta_k
-        x_prev = x
-        x = x + t_hat * p_k
-        if callback is not None:
-            callback({"k": k, "x": x, "w": w_k, "p": p_k, "rho": rho})
-
-        if opts.record_explicit:
-            r, rn, arn = explicit_norms(A, b, x)
-            if arn > hist.ares[-1] * 2.0 + 1e-12 * beta_hat:
-                # A clear A-residual increase contradicts the minimization
-                # property; keep the previous iterate.
-                x = x_prev
-                termination = SINGULAR_FINAL_SYSTEM
-                break
-            hist.append(rn, arn, rho, A.count)
-            r_final, arn_final = r, arn
-            if rn <= res_floor:
-                termination, stop_rule = CONVERGED, "residual"
-                break
-            if arn <= ares_floor:
-                termination, stop_rule = CONVERGED, "aresidual"
-                break
-        else:
-            hist.append(np.nan, rho, rho, A.count)
-            if rho <= ares_floor:
-                termination, stop_rule = CONVERGED, "aresidual"
-                break
-
-        if beta_next <= opts.breakdown_tol * max(1.0, nav):
-            # Lanczos closure: exit before the w update, whose divisor
-            # vanishes here; the current iterate is the final minimizer.
-            termination, ell = HAPPY_BREAKDOWN, k
-            break
-
-        w_next = (vhat - beta_k * w_prev - alpha_k * w_k) / beta_next
-        vhat_prev, vhat = vhat, v_next / beta_next
-        w_prev, w_k = w_k, w_next
-        p_km2, p_km1 = p_km1, p_k
-        beta_k = beta_next
-        c_km1, s_km1 = c_k, s_k
-        lam_tilde_km1 = lam_tilde_k
-        eta_km2 = eta_km1
-
-    lifted = maybe_lift(
-        A, b, hist, x, x0, r_final, res_floor, termination, arn_final
-    )
-    return build_report(
-        "minares", x, lifted, hist, A.count, termination, stop_rule, ell
-    )
+    return _solve("minares", _Minares, A, b, x0, opts, options)

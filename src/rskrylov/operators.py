@@ -132,11 +132,13 @@ class SolveOptions:
         ``||r_k|| <= tol * ||r_0||`` or ``||A r_k|| <= tol * ||A r_0||``
         (whichever monitor the method can evaluate).  Without explicit
         monitoring, GMRES and RRGMRES watch matvec-free estimates of both
-        norms and confirm a stop with one explicit norm.
+        norms and confirm a stop with one explicit norm; the other
+        methods stop on the recurrence value of the norm they minimize.
     maxit : int, optional
         Iteration cap.  Defaults to the operator dimension.
     restart : int, optional
-        Cycle length for restarted runs (GMRES-type methods only).
+        Cycle length for restarted runs of the five long-recurrence
+        methods; minres and minares keep no basis and ignore it.
         Default is an unrestarted run.
     breakdown_tol : float
         Threshold below which an Arnoldi/Lanczos continuation vector is

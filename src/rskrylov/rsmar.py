@@ -5,7 +5,7 @@ Both solvers here minimize ``||A (b - A x)||`` over
 A-residual norm converges to zero even when the residual norm cannot
 (inconsistent systems), and the final iterate coincides with the final
 GMRES iterate, so the rank-one lift recovers the minimum-norm least
-squares solution from it.  They are two of the five subproblems of the
+squares solution from it.  They are two of the seven subproblems of the
 restart-cycle driver in :mod:`rskrylov.gmres_family`, which monitors,
 stops and lifts them exactly as it does the GMRES family.
 

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import rskrylov as rk
+from rskrylov._common import Histories, prepare
+from rskrylov.minres_family import _Minares
 
 
 def make_symmetric(seed, n=30, rank=20, cond=30.0, consistent=True):
@@ -31,6 +35,29 @@ def test_minres_singular_2x2():
     rep = rk.minres_solve(A, np.array([1.0, 1.0]))
     assert_allclose(rep.solution, [1.0, 1.0], atol=1e-14)
     assert_allclose(rep.lifted_solution, [1.0, 0.0], atol=1e-14)
+
+
+def test_minres_estimate_mode_singular_closure_lifts():
+    # the rotated factor turns singular at step 2; the returned iterate 1
+    # is the one the lift maps to A^+ b, not the start x0 = 0
+    A = np.array([[1.0, 0.0], [0.0, 0.0]])
+    rep = rk.minres_solve(A, np.array([1.0, 1.0]), record_explicit=False)
+    assert rep.termination == rk.SINGULAR_FINAL_SYSTEM
+    assert rep.iterations == 1
+    assert_allclose(rep.solution, [1.0, 1.0], atol=1e-14)
+    assert_allclose(rep.lifted_solution, [1.0, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("method", ["minres", "minares"])
+def test_restart_is_ignored(method):
+    # no basis is kept, so there is nothing to restart
+    A, Ap, b = make_symmetric(1)
+    plain = rk.SOLVERS[method](A, b, tol=1e-10)
+    restarted = rk.SOLVERS[method](A, b, tol=1e-10, restart=6)
+    assert plain.termination == rk.CONVERGED
+    for field in dataclasses.fields(plain):
+        name = field.name
+        assert_array_equal(getattr(restarted, name), getattr(plain, name), name)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -121,10 +148,16 @@ def test_minares_w_recursion_consistency():
     # computed densely from the hat-space Arnoldi data
     seed = 2
     A, Ap, b = make_symmetric(seed, n=16, rank=10, cond=10.0)
+    Aop, b, x0, r0, opts = prepare(A, b, None, None, tol=1e-30)
+    hist = Histories()
+    hist.append(np.linalg.norm(r0), np.nan, np.nan, 0)
+    sub = _Minares(Aop, b, x0, r0, opts, {"res": 0.0, "ares": None}, hist)
+    sub.seed()
     ws = []
-    rk.minares1_solve(
-        A, b, tol=1e-30, maxit=6, callback=lambda info: ws.append(info["w"].copy())
-    )
+    for k in range(1, 7):
+        ws.append(sub.w.copy())  # the work vector step k uses
+        sub.step(k)
+        assert not sub.closed
     k = len(ws)
     r0 = b.copy()
     beta_hat = np.linalg.norm(A @ r0)

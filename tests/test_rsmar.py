@@ -174,3 +174,21 @@ def test_rsmar2_singular_closure_tag(seed):
     assert rep.termination == rk.SINGULAR_FINAL_SYSTEM
     xstar = Ap @ b
     assert np.linalg.norm(rep.lifted_solution - xstar) <= 1e-8 * np.linalg.norm(xstar)
+
+
+def test_estimate_mode_singular_closure_returns_last_iterate():
+    # Without explicit monitoring rsmar2 closes here on a singular square
+    # system; it returned the cycle's start x_in = 0 (relative error 1.0)
+    # instead of the last iterate its factors can rebuild.
+    rng = np.random.default_rng(145)
+    n = int(rng.integers(8, 40))
+    rank = round(rng.uniform(0.3, 0.9) * n)
+    cond = 10 ** rng.uniform(3, 8)
+    A, Ap = rk.make_random_range_symmetric(rk.RandomSpec(n, rank, cond, seed=145))
+    b = rng.standard_normal(n)
+    rep = rk.rsmar2_solve(A, b, tol=1e-15, maxit=4 * n, record_explicit=False)
+    assert rep.termination == rk.SINGULAR_FINAL_SYSTEM
+    assert len(rep.residual_history) == rep.iterations + 1
+    xstar = Ap @ b
+    answer = rep.lifted_solution if rep.lifted_solution is not None else rep.solution
+    assert np.linalg.norm(answer - xstar) <= 1e-8 * np.linalg.norm(xstar)

@@ -44,3 +44,17 @@ def test_traced_layers_count_every_step(method, explicit):
     if explicit:
         assert stats["common.explicit_norms"][0] >= rep.iterations
     assert tracing.left_wrapped(tracer) == []
+
+
+@pytest.mark.parametrize("method", ["minres", "minares"])
+def test_traced_short_recurrences_count_explicit_norms(method):
+    A = rk.make_random_symmetric_singular(
+        rk.RandomSpec(n=30, rank=20, cond=100.0, seed=4)
+    )
+    b = np.random.default_rng(4).standard_normal(30)  # inconsistent
+    tracer = tracing.Tracer(rk)
+    with tracer:
+        rep = rk.SOLVERS[method](A, b, tol=1e-10)
+    assert rep.iterations >= 5
+    assert tracer.stats["common.explicit_norms"][0] >= rep.iterations
+    assert tracing.left_wrapped(tracer) == []
