@@ -13,6 +13,12 @@ Gram-Schmidt pass is two BLAS-2 products over contiguous memory:
 of the first ("twice is enough": Giraud, Langou & Rozloznik, Comput. Math.
 Appl. 50, 2005) and adds its coefficients to ``h``.
 
+The rows of the basis are allocated up front: a caller that knows how many
+steps it may take passes ``capacity`` and gets one array of that many rows,
+written in place, whose untouched rows never become resident.  Without a
+capacity, or when the operating system refuses the reservation, the array
+starts at 32 rows and doubles by copying when it fills.
+
 A step whose new subdiagonal entry falls below
 ``breakdown_tol * max(1, ||A v_k||)`` is a happy breakdown: the subspace
 is invariant, the column is kept (with its tiny trailing entry) but no new
@@ -38,6 +44,9 @@ class ZeroSeedError(ValueError):
 class ArnoldiState:
     """Mutable state of one Arnoldi run.
 
+    The basis vectors are the rows of one array, reserved for ``capacity``
+    vectors up front (see :func:`arnoldi_init`) and written in place.
+
     Attributes
     ----------
     k : int
@@ -55,9 +64,9 @@ class ArnoldiState:
 
     reorthogonalize = True
 
-    def __init__(self, v1, seed_norm, breakdown_tol):
+    def __init__(self, v1, seed_norm, breakdown_tol, capacity=None):
         n = v1.shape[0]
-        self._V = np.empty((min(32, n), n))
+        self._V = _basis_array(capacity, n)
         self._V[0] = v1
         self._columns = []
         self.n = n
@@ -99,16 +108,34 @@ class ArnoldiState:
             H[: min(len(col), rows), j] = col[:rows]
         return H
 
-    def _ensure_capacity(self):
-        if self._V.shape[0] < self.basis_count:
-            height = min(max(2 * self._V.shape[0], self.basis_count), self.n)
-            grown = np.empty((height, self.n))
-            grown[: self._V.shape[0]] = self._V
-            self._V = grown
+    def _grow(self):
+        """Double the rows of the basis array (at most ``n``), copying the
+        rows in use into the new array."""
+        rows = len(self._V)
+        grown = np.empty((min(2 * rows, self.n), self.n))
+        grown[:rows] = self._V
+        self._V = grown
 
 
-def arnoldi_init(A, seed, breakdown_tol=1e-13):
+def _basis_array(capacity, n):
+    """Uninitialized rows for the basis: ``capacity`` of them (at most
+    ``n``), else, without a capacity or when the OS refuses that many,
+    ``min(32, n)``."""
+    if capacity is not None:
+        try:
+            return np.empty((min(capacity, n), n))
+        except MemoryError:
+            pass  # start small and double, as without a capacity
+    return np.empty((min(32, n), n))
+
+
+def arnoldi_init(A, seed, breakdown_tol=1e-13, capacity=None):
     """Start an Arnoldi run from a seed vector.
+
+    ``capacity`` is the number of basis vectors to reserve at once: ``k``
+    steps need ``k + 1``, and more than ``n`` are never reserved.  A run
+    that outgrows it, or one started without it, doubles its basis array
+    by copying.
 
     Raises :class:`ZeroSeedError` when the seed norm is at or below
     ``breakdown_tol`` (the system is already solved, or the seed carries
@@ -118,10 +145,12 @@ def arnoldi_init(A, seed, breakdown_tol=1e-13):
     seed = np.asarray(seed, dtype=np.float64)
     if seed.shape != (A.n,):
         raise ValueError(f"seed has shape {seed.shape}, expected ({A.n},)")
+    if capacity is not None and capacity < 1:
+        raise ValueError(f"capacity must be at least 1, got {capacity}")
     norm = float(np.linalg.norm(seed))
     if norm <= breakdown_tol:
         raise ZeroSeedError("seed vector is numerically zero (already solved)")
-    return ArnoldiState(seed / norm, norm, breakdown_tol)
+    return ArnoldiState(seed / norm, norm, breakdown_tol, capacity)
 
 
 def arnoldi_step(state, A):
@@ -154,6 +183,7 @@ def arnoldi_step(state, A):
         state.broke_down = True
         state.breakdown_step = state.k
         return "breakdown"
-    state._ensure_capacity()
+    if k + 1 == len(state._V):
+        state._grow()
     state._V[k + 1] = w / hnext
     return "advanced"

@@ -101,7 +101,8 @@ class _Subproblem:
     A-residual floor before the best iterate is returned).
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
-    by :meth:`start`; may end the cycle), :meth:`step` (one append;
+    by :meth:`start`; given the step budget of the cycle; may end the
+    cycle), :meth:`step` (one append;
     returns the recurrence value of the minimized norm and sets
     ``closed``), :meth:`iterate` and :meth:`closure`.
     """
@@ -119,11 +120,17 @@ class _Subproblem:
         self.beta1 = norm(r0)
         self.closed = False
 
-    def seed(self):
+    def seed(self, budget):
         """Start the Arnoldi run on ``r0`` or ``A r0``, then the method's
-        :meth:`start`; raises :class:`ZeroSeedError` on a vanishing seed."""
+        :meth:`start`; raises :class:`ZeroSeedError` on a vanishing seed.
+
+        The basis is reserved for the ``budget`` steps of the cycle at
+        once: ``budget + 1`` vectors, one more for a two-level method,
+        which runs Arnoldi one step ahead.
+        """
         v = self.A.apply(self.r0) if self.hat else self.r0
-        self.state = arnoldi_init(self.A, v, self.opts.breakdown_tol)
+        rows = min(budget + 2, self.A.n)
+        self.state = arnoldi_init(self.A, v, self.opts.breakdown_tol, capacity=rows)
         return self.start()
 
     def anchor(self, beta_hat):
@@ -538,13 +545,16 @@ class _EstimateMonitor(_RecurrenceMonitor):
 def _cycle(sub, budget):
     """One restart cycle of at most ``budget`` steps of any of the methods."""
     try:
-        done = sub.seed()
+        done = sub.seed(budget)
     except ZeroSeedError:
         # The seed vanishes, so A r0 does: x_in already minimizes both
         # norms over x_in + range(A).
         sub.anchor(0.0)
         rule = "aresidual" if sub.hat else "residual"
-        return _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0)
+        done = _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0)
+    if len(sub.hist.mv) == 1:
+        # The first cycle: the initial row counts the seed's matvecs.
+        sub.hist.mv[0] = sub.A.count
     if done is not None:
         return done
     if sub.opts.record_explicit:

@@ -6,11 +6,12 @@ converts the 1-based indices, and sums duplicate entries.  Only square
 matrices are accepted; the ``pattern`` and ``complex`` fields are
 rejected.
 
-The header and the size line are read line by line.  The entry lines
-after them are parsed in one pass by numpy's text parser into index and
-value arrays, and every check (three fields per line, integer indices,
-1-based indices in range, as many entries as the size line announces)
-runs on those arrays.  Only when the parse or a check fails does a
+The file is read as bytes, with no decoded copy of its text.  The header
+and the size line are read line by line.  The entry lines after them are
+parsed in one pass by numpy's text parser into index and value arrays,
+and every check (three fields per line, integer indices, 1-based indices
+in range, as many entries as the size line announces) runs on those
+arrays.  Only when the parse or a check fails does a
 locator scan the entry lines one at a time, to raise the error for the
 first offending line with its ``path:lineno:`` prefix.  A ``%`` after the
 first field of an entry line is an error, not a trailing comment.
@@ -49,63 +50,69 @@ class MatrixMarketError(ValueError):
 
 def read_matrix_market(path):
     """Read a square sparse matrix from a Matrix Market coordinate file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise MatrixMarketError(f"{path}:1: missing %%MatrixMarket header")
-        fields = header.split()
-        if len(fields) < 5:
-            raise MatrixMarketError(f"{path}:1: incomplete header: {header.strip()!r}")
-        obj, fmt, field, symmetry = (f.lower() for f in fields[1:5])
-        if obj != "matrix" or fmt != "coordinate":
-            raise MatrixMarketError(
-                f"{path}:1: only 'matrix coordinate' files are supported"
-            )
-        if field != "real":
-            raise MatrixMarketError(
-                f"{path}:1: unsupported field {field!r} (only 'real')"
-            )
-        if symmetry not in ("general", "symmetric"):
-            raise MatrixMarketError(
-                f"{path}:1: unsupported symmetry {symmetry!r} "
-                "(only 'general' or 'symmetric')"
-            )
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        # Lines end as in text mode; numpy's parser takes no lone "\r".
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # The entry lines are parsed from this stream without a copy.
+    lines = io.BytesIO(data)
+    header = lines.readline().decode("utf-8")
+    if not header.startswith("%%MatrixMarket"):
+        raise MatrixMarketError(f"{path}:1: missing %%MatrixMarket header")
+    fields = header.split()
+    if len(fields) < 5:
+        raise MatrixMarketError(f"{path}:1: incomplete header: {header.strip()!r}")
+    obj, fmt, field, symmetry = (f.lower() for f in fields[1:5])
+    if obj != "matrix" or fmt != "coordinate":
+        raise MatrixMarketError(
+            f"{path}:1: only 'matrix coordinate' files are supported"
+        )
+    if field != "real":
+        raise MatrixMarketError(
+            f"{path}:1: unsupported field {field!r} (only 'real')"
+        )
+    if symmetry not in ("general", "symmetric"):
+        raise MatrixMarketError(
+            f"{path}:1: unsupported symmetry {symmetry!r} "
+            "(only 'general' or 'symmetric')"
+        )
 
-        lineno = 1
-        size = None
-        for line in fh:
-            lineno += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise MatrixMarketError(
-                    f"{path}:{lineno}: expected 'rows cols nnz', got {stripped!r}"
-                )
-            try:
-                nrows, ncols, nnz = (int(p) for p in parts)
-            except ValueError as exc:
-                raise MatrixMarketError(f"{path}:{lineno}: bad size line: {exc}")
-            size = (nrows, ncols, nnz)
-            break
-        if size is None:
-            raise MatrixMarketError(f"{path}: no size line found")
-        nrows, ncols, nnz = size
-        if nrows != ncols:
+    lineno = 1
+    size = None
+    for line in lines:
+        lineno += 1
+        stripped = line.decode("utf-8").strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
             raise MatrixMarketError(
-                f"{path}:{lineno}: matrix must be square, got {nrows} x {ncols}"
+                f"{path}:{lineno}: expected 'rows cols nnz', got {stripped!r}"
             )
-        body = fh.read()
+        try:
+            nrows, ncols, nnz = (int(p) for p in parts)
+        except ValueError as exc:
+            raise MatrixMarketError(f"{path}:{lineno}: bad size line: {exc}")
+        size = (nrows, ncols, nnz)
+        break
+    if size is None:
+        raise MatrixMarketError(f"{path}: no size line found")
+    nrows, ncols, nnz = size
+    if nrows != ncols:
+        raise MatrixMarketError(
+            f"{path}:{lineno}: matrix must be square, got {nrows} x {ncols}"
+        )
 
+    start = lines.tell()  # offset of the first entry line
     try:
-        entries = _parse_entries(body)
+        entries = _parse_entries(data, lines)
     except (ValueError, OverflowError, DeprecationWarning) as exc:
-        _raise_first_error(path, body, lineno, nrows, nnz, exc)
+        _raise_first_error(path, data[start:], lineno, nrows, nnz, exc)
     rows, cols, vals = entries["i"] - 1, entries["j"] - 1, entries["v"]
     in_range = _in_range(rows, nrows) and _in_range(cols, nrows)
     if len(entries) != nnz or not in_range:
-        _raise_first_error(path, body, lineno, nrows, nnz, None)
+        _raise_first_error(path, data[start:], lineno, nrows, nnz, None)
     if symmetry == "symmetric":
         off = rows != cols
         rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))
@@ -113,9 +120,10 @@ def read_matrix_market(path):
     return sparse_from_triplets(nrows, rows, cols, vals)
 
 
-def _parse_entries(body):
-    """The entry lines of ``body`` as one structured array ``(i, j, v)``."""
-    if _has_inline_percent(body):
+def _parse_entries(data, lines):
+    """The entry lines, the rest of the stream ``lines`` over ``data``, as
+    one structured array ``(i, j, v)``."""
+    if _has_inline_percent(data, lines.tell()):
         raise ValueError("'%' after the first field of an entry line")
     with warnings.catch_warnings():
         # A body without entries (nnz = 0) is valid.
@@ -123,22 +131,25 @@ def _parse_entries(body):
         # numpy 1.23-1.26 read an index such as 1.5 as the integer 1 and
         # only warn that this is deprecated.
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(io.StringIO(body), dtype=_ENTRY, comments="%", ndmin=1)
+        return np.loadtxt(
+            lines, dtype=_ENTRY, comments="%", ndmin=1, encoding="utf-8"
+        )
 
 
-def _has_inline_percent(body):
-    """Whether a ``%`` follows other text on its line: np.loadtxt would
-    drop the rest of such a line as a comment, which the format does not
-    allow.  Costs one search per comment line."""
-    pos = body.find("%")
+def _has_inline_percent(data, pos):
+    """Whether a ``%`` after offset ``pos`` of ``data`` follows other text
+    on its line: np.loadtxt would drop the rest of such a line as a
+    comment, which the format does not allow.  Costs one search per
+    comment line."""
+    pos = data.find(b"%", pos)
     while pos >= 0:
-        start = body.rfind("\n", 0, pos) + 1
-        if body[start:pos].strip():
+        start = data.rfind(b"\n", 0, pos) + 1
+        if data[start:pos].decode("utf-8").strip():
             return True
-        end = body.find("\n", pos)
+        end = data.find(b"\n", pos)
         if end < 0:
             return False
-        pos = body.find("%", end)
+        pos = data.find(b"%", end)
     return False
 
 
@@ -148,11 +159,13 @@ def _in_range(index, n):
 
 
 def _raise_first_error(path, body, lineno, n, nnz, cause):
-    """Raise the error of the first entry line of ``body`` (whose first
-    line is ``lineno + 1``) that breaks the format, or else the count
-    mismatch; ``cause`` is the array parser's own error, if any."""
+    """Raise the error of the first entry line of the bytes ``body``
+    (whose first line is ``lineno + 1``) that breaks the format, or else
+    the count mismatch; ``cause`` is the array parser's own error, if
+    any."""
     seen = 0
-    for lineno, line in enumerate(body.split("\n"), start=lineno + 1):
+    text = body.decode("utf-8")
+    for lineno, line in enumerate(text.split("\n"), start=lineno + 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue

@@ -41,7 +41,8 @@ __all__ = ["minres_solve", "minares1_solve"]
 
 class _ShortRecurrence(_Subproblem):
     """A Lanczos recurrence that updates its iterate ``x`` once per step; a
-    singular rotated factor sets ``singular`` and leaves ``x`` as it was."""
+    singular rotated factor sets ``singular`` and leaves ``x`` as it was.
+    Its :meth:`seed` reserves no basis, so it does not need the budget."""
 
     restarts = False
 
@@ -62,7 +63,7 @@ class _Minres(_ShortRecurrence):
 
     polish = 8
 
-    def seed(self):
+    def seed(self, budget=None):
         n = self.A.n
         self.v_prev, self.v = np.zeros(n), self.r0 / self.beta1
         self.beta_k = 0.0
@@ -114,10 +115,9 @@ class _Minares(_ShortRecurrence):
     hat = True
     minimized = 1
 
-    def seed(self):
+    def seed(self, budget=None):
         A = self.A
         ar0 = A.apply(self.r0)
-        self.hist.mv[0] = A.count  # the initial row counts the seed matvec
         beta_hat = norm(ar0)
         if beta_hat <= self.opts.breakdown_tol:
             raise ZeroSeedError("A r0 is numerically zero")

@@ -204,3 +204,23 @@ def test_basis_stays_orthonormal_on_grid():
     assert state.k == 150 and not state.broke_down
     V = state.basis()
     assert np.linalg.norm(np.eye(V.shape[1]) - V.T @ V) <= 1e-12
+
+
+def test_reserved_basis_is_written_in_place():
+    # A run within its capacity keeps the array it started with; one that
+    # outgrows it, or has none, grows by copying.  Every float agrees.
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=10, d=10.0))
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    runs = {}
+    for capacity, moved in ((41, False), (500, False), (5, True), (None, True)):
+        state = arnoldi_init(A, v, capacity=capacity)
+        address = state.vector(0).ctypes.data
+        for _ in range(40):
+            assert arnoldi_step(state, A) == "advanced"
+        assert (state.vector(0).ctypes.data != address) == moved
+        runs[capacity] = state
+    for state in runs.values():
+        assert state.basis().tobytes() == runs[None].basis().tobytes()
+        assert state.hessenberg().tobytes() == runs[None].hessenberg().tobytes()
+    with pytest.raises(ValueError, match="capacity"):
+        arnoldi_init(A, v, capacity=0)

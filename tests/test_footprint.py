@@ -1,0 +1,81 @@
+"""Memory footprint of a solving process, measured in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rskrylov as rk
+
+PACKAGE_ROOT = str(Path(rk.__file__).resolve().parents[1])
+
+
+def run_python(script, cwd=None):
+    """Run ``script`` in a fresh interpreter that imports this rskrylov;
+    return its standard output."""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": PACKAGE_ROOT, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# The peak resident set of this process alone: ru_maxrss would start at
+# the peak of the process that spawned it, which Linux carries over exec.
+GMRES_300_STEPS = """
+import rskrylov as rk
+
+def peak_bytes():
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith("VmHWM:"))
+    return 1024 * int(line.split()[1])
+
+spec = rk.BvpSpec(m=100, d=10.0)
+A = rk.make_bvp_matrix(spec)
+b = rk.make_bvp_rhs(spec, "consistent_random", 0, A)
+rk.gmres_solve(A, b, maxit=2)  # lazy set-up of the solve path
+before = peak_bytes()
+rep = rk.gmres_solve(A, b, tol=1e-30, maxit=300)
+print(rep.iterations, peak_bytes() - before, 8 * 301 * A.shape[0])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_gmres_peak_memory_is_close_to_its_basis():
+    # A basis regrown by copies holds the old and the new array at once
+    # (1.9 times the basis here); one reserved array is written in place.
+    iterations, rise, basis = map(int, run_python(GMRES_300_STEPS).split())
+    assert iterations == 300
+    assert rise <= 1.5 * basis
+
+
+SOLVE_EVERYTHING = """
+import sys
+import numpy as np
+import rskrylov as rk
+
+A = rk.make_random_symmetric_singular(rk.RandomSpec(n=30, rank=20, seed=1))
+b = A @ np.ones(30) + 0.1
+for solve in rk.SOLVERS.values():
+    for explicit in (True, False):
+        solve(A, b, record_explicit=explicit)
+rk.write_matrix_market("a.mtx", A)
+rk.write_vector("b.txt", b)
+for method in rk.SOLVERS:
+    argv = ["solve", "--method", method, "--matrix", "a.mtx", "--rhs", "b.txt"]
+    rk.cli_main(argv + ["--out", "x.txt", "--history", "h.csv", "--lifted"])
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+"""
+
+
+def test_solving_never_imports_scipy_linalg(tmp_path):
+    # scipy.linalg loads a second BLAS and LAPACK into the process (about
+    # 7.5 MiB resident); the solvers use numpy's LAPACK instead.
+    assert run_python(SOLVE_EVERYTHING, cwd=tmp_path).splitlines()[-1] == "[]"

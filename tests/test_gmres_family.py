@@ -173,11 +173,12 @@ def test_a_r0_zero_returns_x0_for_hat_methods():
     # b in null(A): A r0 = 0, so x0 = 0 already minimizes over range(A)
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     b = np.array([0.0, 1.0])
-    for method in ("rrgmres", "dgmres", "rsmar1"):
+    for method in ("rrgmres", "dgmres", "rsmar1", "minares"):
         rep = rk.SOLVERS[method](A, b)
         assert_allclose(rep.solution, np.zeros(2))
         assert rep.termination == rk.CONVERGED
         assert rep.stop_rule == "aresidual"
+        assert rep.matvec_history.tolist() == [1]  # the seed matvec
 
 
 def test_maxit_termination():
@@ -487,3 +488,87 @@ def test_estimate_mode_returns_best_iterate_on_criterion07(method, seed):
     )
     if rep.termination in (rk.CONVERGED, rk.HAPPY_BREAKDOWN):
         assert ares <= 1e-6
+
+
+LONG_METHODS = ("gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2")
+MODES = [pytest.param(True, id="explicit"), pytest.param(False, id="estimate")]
+
+
+def grid_system(m=10):
+    spec = rk.BvpSpec(m=m, d=10.0)
+    A = rk.make_bvp_matrix(spec)
+    return A, rk.make_bvp_rhs(spec, "consistent_random", 0, A)
+
+
+def assert_same_report(got, want):
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype and other.tobytes() == value.tobytes(), name
+        else:
+            assert other == value, name
+
+
+@pytest.mark.parametrize("explicit", MODES)
+@pytest.mark.parametrize("method", LONG_METHODS)
+def test_cycle_never_regrows_its_basis(monkeypatch, method, explicit):
+    def grow(state):
+        raise AssertionError(f"basis regrown at step {state.k}")
+
+    monkeypatch.setattr(rk.ArnoldiState, "_grow", grow)
+    A, b = grid_system()  # n = 100: closure within an unrestarted run
+    runs = [dict(maxit=70), dict(maxit=70, restart=40), dict()]
+    iterations = [
+        rk.SOLVERS[method](A, b, tol=1e-14, record_explicit=explicit, **kw).iterations
+        for kw in runs
+    ]
+    assert max(iterations) > 40  # past the 32 rows an unreserved run starts with
+    # cycles longer than n reserve n rows
+    A, _, b_cons, _ = make_inconsistent(3, n=40, rank=30)
+    rk.SOLVERS[method](A, b_cons, tol=1e-14, maxit=200, record_explicit=explicit)
+
+
+@pytest.mark.parametrize("explicit", MODES)
+@pytest.mark.parametrize("method", LONG_METHODS)
+def test_refused_reservation_gives_the_same_report(monkeypatch, method, explicit):
+    A, b = grid_system()
+    opts = rk.SolveOptions(tol=1e-14, maxit=45, record_explicit=explicit)
+    want = rk.SOLVERS[method](A, b, opts=opts)
+    empty = np.empty
+    refused = []
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (47, 100):  # the reservation of a 45-step cycle
+            refused.append(shape)
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    got = rk.SOLVERS[method](A, b, opts=opts)
+    assert refused and got.iterations > 32  # the fallback array had to grow
+    assert_same_report(got, want)
+
+
+# Row 0 of matvec_history counts the matvecs taken before the first step:
+# the seed A r0 of the methods seeded by it, and the Arnoldi step that
+# rsmar2 and dgmres take ahead.
+FIRST_ROW = {
+    "gmres": 0,
+    "minres": 0,
+    "rrgmres": 1,
+    "rsmar1": 1,
+    "rsmar2": 1,
+    "minares": 1,
+    "dgmres": 2,
+}
+
+
+@pytest.mark.parametrize("explicit", MODES)
+@pytest.mark.parametrize("method", FIRST_ROW)
+def test_first_history_row_counts_seed_matvecs(method, explicit):
+    A = rk.make_random_symmetric_singular(rk.RandomSpec(n=20, rank=15, seed=4))
+    b = A @ np.random.default_rng(4).standard_normal(20)
+    for x0, extra in ((None, 0), (np.ones(20), 1)):  # r0 = b - A x0 costs one
+        rep = rk.SOLVERS[method](A, b, x0=x0, tol=1e-10, record_explicit=explicit)
+        assert rep.iterations > 0
+        assert rep.matvec_history[0] == FIRST_ROW[method] + extra

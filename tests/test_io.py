@@ -157,6 +157,30 @@ def test_comment_and_blank_lines_keep_line_numbers(tmp_path):
     assert A.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, -2.5], [0.0, 0.5, 0.0]]
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_other_line_endings_read_as_newlines(tmp_path, newline):
+    text = (
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "% comment\n"
+        "3 3 3\n"
+        "1 1 1.0\n"
+        "\n"
+        "\f3 2 -2.5\n"  # a form feed is blank space, not a line break
+        "% between entries\n"
+        "3 3 4e-3\n"
+    )
+    path = tmp_path / "m.mtx"
+    path.write_bytes(text.replace("\n", newline).encode())
+    A = read_matrix_market(path)
+    path.write_bytes(text.encode())
+    assert (A != read_matrix_market(path)).nnz == 0
+    assert A.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, -2.5], [0.0, -2.5, 4e-3]]
+    bad = text.replace("3 3 4e-3", "3 3 x")
+    path.write_bytes(bad.replace("\n", newline).encode())
+    with pytest.raises(MatrixMarketError, match=r"m\.mtx:8: bad entry"):
+        read_matrix_market(path)
+
+
 def test_read_empty_matrix(tmp_path):
     path = tmp_path / "z.mtx"
     path.write_text(GENERAL + "% no entries\n4 4 0\n% still none\n\n")
