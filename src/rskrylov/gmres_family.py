@@ -303,6 +303,9 @@ class _Monitor:
         # absolute slack of the guards on the minimized norm: relative to
         # |r0| of the cycle, or to |A r0| of the run
         self.slack = 1e-12 * (self.hist.ares[0] if sub.minimized else sub.beta1)
+        # the history column of the minimized norm (Histories keeps its lists)
+        self.minimized = sub.minimized
+        self.minimized_log = (self.hist.res, self.hist.ares)[sub.minimized]
         self.x_best = self.r_best = None  # the last iterate recorded
         self.polish_left = sub.polish
 
@@ -313,9 +316,8 @@ class _Monitor:
     def _rose(self, rn, arn, factor):
         """Whether the minimized one of ``rn`` and ``arn`` is above
         ``factor`` times its last recorded value, plus slack."""
-        m = self.sub.minimized
-        last = (self.hist.res, self.hist.ares)[m][-1]
-        return (rn, arn)[m] > last * factor + self.slack
+        value = arn if self.minimized else rn
+        return value > self.minimized_log[-1] * factor + self.slack
 
     def record(self, k, est):
         """Check iterate ``k`` explicitly, add its row, apply the rules."""

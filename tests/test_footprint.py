@@ -29,14 +29,16 @@ def run_python(script, cwd=None):
 
 # The peak resident set of this process alone: ru_maxrss would start at
 # the peak of the process that spawned it, which Linux carries over exec.
-GMRES_300_STEPS = """
+PEAK_BYTES = """
 import rskrylov as rk
 
 def peak_bytes():
     with open("/proc/self/status") as fh:
         line = next(line for line in fh if line.startswith("VmHWM:"))
     return 1024 * int(line.split()[1])
+"""
 
+GMRES_300_STEPS = PEAK_BYTES + """
 spec = rk.BvpSpec(m=100, d=10.0)
 A = rk.make_bvp_matrix(spec)
 b = rk.make_bvp_rhs(spec, "consistent_random", 0, A)
@@ -54,6 +56,26 @@ def test_gmres_peak_memory_is_close_to_its_basis():
     iterations, rise, basis = map(int, run_python(GMRES_300_STEPS).split())
     assert iterations == 300
     assert rise <= 1.5 * basis
+
+
+READ_GRID = PEAK_BYTES + """
+rk.read_matrix_market("small.mtx")  # lazy set-up of the read path
+before = peak_bytes()
+A = rk.read_matrix_market("grid.mtx")
+print(peak_bytes() - before, A.indptr.nbytes + A.indices.nbytes + A.data.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_read_peak_memory_is_close_to_its_matrix(tmp_path):
+    # Parsed a block at a time into the arrays of the result, the 1.7 MB
+    # file costs about twice the CSR matrix at its peak (the triplets and
+    # the CSR arrays); parsed whole, it cost 6.5 times.
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=150, d=0.0))
+    rk.write_matrix_market(tmp_path / "grid.mtx", A)
+    rk.write_matrix_market(tmp_path / "small.mtx", A[:2, :2])
+    rise, matrix = map(int, run_python(READ_GRID, cwd=tmp_path).split())
+    assert rise <= 2.5 * matrix
 
 
 SOLVE_EVERYTHING = """

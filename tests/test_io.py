@@ -6,6 +6,7 @@ import rskrylov as rk
 from rskrylov.cli import cli_main
 from rskrylov.history import HistoryRecord, read_history_csv, write_history_csv
 from rskrylov.matrixmarket import (
+    _READ_BLOCK,
     MatrixMarketError,
     read_matrix_market,
     read_vector,
@@ -135,6 +136,13 @@ def test_entry_count_mismatch(tmp_path, nnz, found):
     assert msg == f"{path}: header announced {nnz} entries, found {found}"
 
 
+@pytest.mark.parametrize("nnz", [-1, 10**12])
+def test_impossible_entry_count_is_a_count_mismatch(tmp_path, nnz):
+    # Such a count is refused before any array is reserved for it.
+    path, msg = _read_error(tmp_path, GENERAL + f"3 3 {nnz}\n1 1 1.0\n")
+    assert msg == f"{path}: header announced {nnz} entries, found 1"
+
+
 def test_comment_and_blank_lines_keep_line_numbers(tmp_path):
     text = (
         GENERAL
@@ -179,6 +187,84 @@ def test_other_line_endings_read_as_newlines(tmp_path, newline):
     path.write_bytes(bad.replace("\n", newline).encode())
     with pytest.raises(MatrixMarketError, match=r"m\.mtx:8: bad entry"):
         read_matrix_market(path)
+
+
+def _many_blocks(tmp_path, symmetry, newline):
+    """A file of unsorted entries with duplicates, comment and blank lines
+    over more than three read blocks, with a line end split across two of
+    them; returns its path, its lines and the entries' ``(i, j, v)``."""
+    rng = np.random.default_rng(11)
+    n, count = 500, 30_000
+    i = rng.integers(1, n + 1, count)
+    j = rng.integers(1, n + 1, count)
+    if symmetry == "symmetric":
+        i, j = np.maximum(i, j), np.minimum(i, j)
+    i[-100:], j[-100:] = i[:100], j[:100]  # duplicates
+    v = rng.standard_normal(count) * 10.0 ** rng.integers(-30, 30, count)
+    lines = [f"%%MatrixMarket matrix coordinate real {symmetry}", "% generated", f"{n} {n} {count}"]
+    for k, entry in enumerate(zip(i.tolist(), j.tolist(), v.tolist())):
+        lines.append("%d %d %r" % entry)
+        if k % 1000 == 7:
+            lines += ["% a comment line", ""]
+    # Trailing blanks on an entry line move its line end onto the last
+    # byte of the first read block.
+    last = _READ_BLOCK - 1
+    end = len("".join(line + newline for line in lines[:3])) - len(newline)
+    k = 3
+    while end + len(newline) + len(lines[k]) <= last:
+        end += len(newline) + len(lines[k])
+        k += 1
+    lines[k - 1] += " " * (last - end)
+    path = tmp_path / f"{symmetry}.mtx"
+    path.write_bytes("".join(line + newline for line in lines).encode())
+    assert path.read_bytes()[last : last + 1] == newline[:1].encode()
+    assert path.stat().st_size > 3 * _READ_BLOCK
+    return path, lines, (i, j, v)
+
+
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_read_across_blocks_matches_triplets(tmp_path, symmetry, newline):
+    path, lines, (i, j, v) = _many_blocks(tmp_path, symmetry, newline)
+    rows, cols = i - 1, j - 1
+    if symmetry == "symmetric":
+        off = rows != cols
+        rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))
+        v = np.concatenate((v, v[off]))
+    expected = rk.sparse_from_triplets(500, rows, cols, v)
+    A = read_matrix_market(path)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(A, name), getattr(expected, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_errors_in_the_last_block_report_their_line(tmp_path):
+    path, lines, _ = _many_blocks(tmp_path, "general", "\r\n")
+
+    def error(lines):
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        return str(err.value)
+
+    k = len(lines) - 5
+    assert error(lines[:k] + ["7 7 x"] + lines[k + 1 :]) == (
+        f"{path}:{k + 1}: bad entry: could not convert string to float: 'x'"
+    )
+    assert error(lines[:k] + ["7 501 1.0"] + lines[k + 1 :]) == (
+        f"{path}:{k + 1}: index (7, 501) out of range for 500 x 500 matrix "
+        "(indices are 1-based)"
+    )
+    # Python reads 1_0.5 as a float, numpy does not: its own message.
+    msg = error(lines[:k] + ["7 7 1_0.5"] + lines[k + 1 :])
+    assert msg.startswith(f"{path}: bad entries: ") and "'1_0.5'" in msg
+    assert error(lines[:k] + lines[k + 1 :]) == (
+        f"{path}: header announced 30000 entries, found 29999"
+    )
+    assert error(lines + ["1 1 1.0"]) == (
+        f"{path}: header announced 30000 entries, found 30001"
+    )
 
 
 def test_read_empty_matrix(tmp_path):
