@@ -18,6 +18,8 @@ range, as many entries as the size line announces) runs on the parsed
 arrays.  Only when the parse or a check fails is the file read a second
 time, whole, and a locator scans its entry lines one at a time, to raise
 the error for the first offending line with its ``path:lineno:`` prefix.
+An input that cannot seek (a pipe) cannot be read twice: its error names
+the path but not the line.
 A ``%`` after the first field of an entry line is an error, not a
 trailing comment.
 Numbers are read as numpy reads them, so Python-only spellings such as
@@ -132,6 +134,12 @@ def read_matrix_market(path):
             body = itertools.chain((lines.read(),), blocks)
             coo = _read_entries(body, nrows, nnz)
         if coo is None:
+            if not fh.seekable():  # a pipe: the lines read are gone
+                raise MatrixMarketError(
+                    f"{path}: bad entry lines, or not the {nnz} entries the size "
+                    "line announces (the input cannot be read twice to find "
+                    "the first bad line)"
+                )
             fh.seek(0)
             _raise_first_error(path, fh, lineno, nrows, nnz)
     rows, cols, vals = coo

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import rskrylov as rk
-from rskrylov import ZeroSeedError, arnoldi_init, arnoldi_step
+from rskrylov import ZeroSeedError, arnoldi, arnoldi_init, arnoldi_step
+from rskrylov.operators import CountingOperator
 
 
 def run_arnoldi(A, seed, steps=None, **kw):
@@ -224,3 +226,127 @@ def test_reserved_basis_is_written_in_place():
         assert state.hessenberg().tobytes() == runs[None].hessenberg().tobytes()
     with pytest.raises(ValueError, match="capacity"):
         arnoldi_init(A, v, capacity=0)
+
+
+def test_small_basis_matches_reference_cgs2_bytes():
+    # Below BASIS_BYTES every step is CGS2: basis and Hessenberg columns
+    # equal this plain transcription of it bit for bit.
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=50, d=10.0))
+    v = np.random.default_rng(2).standard_normal(A.shape[0])
+    steps = 100
+    assert 8 * (steps + 1) * len(v) < arnoldi.BASIS_BYTES
+    V = np.empty((steps + 1, len(v)))
+    V[0] = v / np.linalg.norm(v)
+    columns = []
+    for k in range(steps):
+        Vk = V[: k + 1]
+        w = A @ V[k]
+        h = Vk @ w
+        w -= h @ Vk
+        corr = Vk @ w
+        w -= corr @ Vk
+        h += corr
+        hnext = np.sqrt(w.dot(w))
+        columns.append(np.append(h, hnext))
+        V[k + 1] = w / hnext
+    state = arnoldi_init(A, v, capacity=steps + 1)
+    for _ in range(steps):
+        assert arnoldi_step(state, A) == "advanced"
+    assert state.basis().T.tobytes() == V.tobytes()
+    for k, col in enumerate(columns):
+        assert state.column(k).tobytes() == col.tobytes()
+
+
+def test_delayed_basis_on_grid():
+    # n = 2500: steps from k = 104 on are delayed.
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=50, d=10.0))
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    state = run_arnoldi(A, v, steps=300)
+    assert state.k == 300 and not state.broke_down
+    V = state.basis()
+    H = state.hessenberg()
+    assert np.linalg.norm(np.eye(V.shape[1]) - V.T @ V) <= 1e-12
+    assert np.linalg.norm(A @ V[:, :300] - V @ H) <= 2e-15 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_delayed_relation_holds_through_cancellation(monkeypatch, seed):
+    # On cond 1e4 the first pass cancels much of A v: the look-ahead must
+    # carry H c into the next coefficients, or the relation loses digits.
+    monkeypatch.setattr(arnoldi, "BASIS_BYTES", 0)
+    A, _ = rk.make_random_range_symmetric(rk.RandomSpec(n=60, rank=45, cond=1e4, seed=seed))
+    state = run_arnoldi(A, np.random.default_rng(seed).standard_normal(60))
+    assert state.broke_down and state.breakdown_step == 46
+    V = state.basis()
+    H = state.hessenberg(rows=46)
+    assert np.linalg.norm(np.eye(46) - V.T @ V) <= 1e-13
+    assert np.linalg.norm(A @ V - V @ H) <= 1e-14 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("steps, matvecs", [(100, 100), (300, 301)])
+def test_delayed_cycle_applies_the_operator_once_more(steps, matvecs):
+    # The first delayed step applies A to v_k and to the look-ahead vector;
+    # a run that stays below the threshold applies it once per step.
+    A = CountingOperator(rk.make_bvp_matrix(rk.BvpSpec(m=50, d=10.0)))
+    v = np.random.default_rng(1).standard_normal(A.n)
+    state = arnoldi_init(A, v, capacity=steps + 1)
+    for _ in range(steps):
+        assert arnoldi_step(state, A) == "advanced"
+    assert A.count == matvecs
+
+
+def _diagonal_with_zero():
+    """A sparse diagonal matrix of order 60000 with the ten eigenvalues
+    -4, ..., 5, each 6000 times, in random order.
+
+    Its basis reaches ``BASIS_BYTES`` at the fifth vector, so the Krylov
+    space closes on the delayed path.  With many more distinct
+    eigenvalues neither path can see the closure in floating point: at
+    20 of them the closing subdiagonal is already 1e-10 times the others.
+    """
+    d = np.random.default_rng(4).permutation(np.repeat(np.arange(-4.0, 6.0), 6000))
+    return sp.diags(d).tocsr(), d
+
+
+def test_closure_after_switch_matches_distinct_eigenvalues():
+    # The Krylov dimension of a seed on a diagonal matrix is the number of
+    # distinct eigenvalues the seed touches: 10 for a generic seed, 9 once
+    # its null-space part is removed.  The closing step finds its first
+    # pass at the threshold and skips the look-ahead product, so the run
+    # applies A once per step, as CGS2 does.
+    M, d = _diagonal_with_zero()
+    assert 8 * 5 * len(d) >= arnoldi.BASIS_BYTES > 8 * 4 * len(d)
+    v = np.random.default_rng(5).standard_normal(len(d))
+    for seed, dim in ((v, 10), (np.where(d == 0.0, 0.0, v), 9)):
+        A = CountingOperator(M)
+        state = run_arnoldi(A, seed, capacity=12)
+        assert state.broke_down and state.breakdown_step == dim
+        assert A.count == dim
+
+
+def test_gmres_closure_after_switch_on_diagonal():
+    A, d = _diagonal_with_zero()
+    pinv = np.divide(1.0, d, out=np.zeros_like(d), where=d != 0.0)
+    b = d * np.random.default_rng(6).standard_normal(len(d))
+    rep = rk.gmres_solve(A, b, tol=1e-30, maxit=20)
+    assert (rep.termination, rep.detected_ell) == ("happy_breakdown", 9)
+    assert np.linalg.norm(rep.solution - pinv * b) <= 1e-12 * np.linalg.norm(pinv * b)
+    b = b + np.where(d == 0.0, 0.5, 0.0)
+    rep = rk.gmres_solve(A, b, tol=1e-30, maxit=20)
+    assert rep.termination == "singular_final_system"
+    xstar = pinv * b
+    assert np.linalg.norm(rep.lifted_solution - xstar) <= 1e-10 * np.linalg.norm(xstar)
+
+
+@pytest.mark.parametrize(
+    "test",
+    [
+        test_identity_breaks_down_immediately,
+        test_hand_computed_step,
+        test_step_reaching_dimension_n_is_breakdown,
+        test_reserved_basis_is_written_in_place,
+    ],
+)
+def test_delayed_from_the_first_step(monkeypatch, test):
+    monkeypatch.setattr(arnoldi, "BASIS_BYTES", 0)
+    test()

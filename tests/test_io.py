@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -265,6 +268,42 @@ def test_errors_in_the_last_block_report_their_line(tmp_path):
     assert error(lines + ["1 1 1.0"]) == (
         f"{path}: header announced 30000 entries, found 30001"
     )
+
+
+def _read_through_pipe(data):
+    """``read_matrix_market`` of ``data`` fed from a thread into a pipe."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return read_matrix_market(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        feeder.join()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_reads_and_reports_errors(tmp_path):
+    # A pipe cannot seek back to locate a bad line: the error names the
+    # path instead of raising io.UnsupportedOperation.
+    path, lines, _ = _many_blocks(tmp_path, "general", "\n")
+    data = path.read_bytes()
+    A, expected = _read_through_pipe(data), read_matrix_market(path)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).tobytes() == getattr(expected, name).tobytes()
+    k = len(lines) - 5
+    bad = "".join(line + "\n" for line in lines[:k] + ["7 7 x"] + lines[k + 1 :])
+    for text in (bad, GENERAL + "2 2 1\n1 3 1.0\n", GENERAL + "2 2 2\n1 1 1.0\n"):
+        with pytest.raises(MatrixMarketError, match=r"^/dev/fd/\d+: bad entry lines"):
+            _read_through_pipe(text.encode())
 
 
 def test_read_empty_matrix(tmp_path):
