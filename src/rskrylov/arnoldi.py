@@ -32,15 +32,19 @@ its coefficients ``p``, and a step
   ``V`` again, from ``A (u - V c) = A u - V_{k+2} H c``.
 
 The pass runs over blocks of ``V``, each read once from memory and once
-from cache.  The switch costs one extra product with ``A`` per run: the
-first delayed step applies ``A`` to both ``v_k`` and ``u``.
+from cache.  Where such a block would hold fewer than 8 basis vectors
+(``n`` above ``BASIS_BYTES / 128``) the run stays with CGS2 at every
+step.  The switch costs one extra product with ``A`` per run: the first
+delayed step applies ``A`` to both ``v_k`` and ``u``.
 
-The rows of the basis and the Hessenberg columns are allocated up front:
-a caller that knows how many steps it may take passes ``capacity`` and
-gets arrays of that many rows, written in place; the untouched rows of
-the basis never become resident.  Without a capacity, or when the
-operating system refuses the reservation, the arrays start at 32 rows
-and double by copying when they fill.
+The rows of the basis are allocated up front: a caller that knows how
+many steps it may take passes ``capacity`` and gets an array of that many
+rows, written in place; the untouched rows never become resident.
+Without a capacity, or when the operating system refuses the
+reservation, the array starts at 32 rows and doubles by copying when it
+fills.  The Hessenberg columns are separate arrays until the run
+switches; from then on they are the rows of one zeroed array with a row
+for each row of the basis, so that ``H c`` is one product.
 
 A step whose new subdiagonal entry falls below
 ``breakdown_tol * max(1, ||A v_k||)`` is a happy breakdown: the subspace
@@ -64,15 +68,18 @@ from .operators import aslinearoperator
 
 __all__ = ["ZeroSeedError", "ArnoldiState", "arnoldi_init", "arnoldi_step"]
 
-# Bytes of basis that CGS2 reads four times a step at cache speed: the
-# 2 MiB of one core's L2 cache on the x86-64 server where it was measured.
-# A step whose basis ``V_k`` reaches it is delayed, and the delayed pass
-# reads ``V`` in blocks of half as many bytes, which stay in cache between
-# the product and the update.  There, with one BLAS thread, a step at
-# n = 2500 and k = 300 took 1.37 ms in CGS2 and 0.64 ms delayed; the two
-# broke even at 1.2-1.4 MiB of basis (n = 625 to 10,000), and below that
-# CGS2 is faster (n = 625, k = 60: 68 against 88 us).
-BASIS_BYTES = 2 << 20
+# Bytes of basis at which a delayed step becomes cheaper than a CGS2 step.
+# Measured with one BLAS thread on an x86-64 server (2 MiB of L2 per
+# core) on 2-D grid operators: the two broke even at 1.15-1.2 MiB of basis
+# for n = 2500, 5041 and 7921; at 1.35-1.4 MiB the delayed step was 4-14%
+# faster, and at n = 2500, k = 300 it took 0.64 ms against 1.37 ms.  The
+# delayed pass reads ``V`` in blocks of half as many bytes, which stay in
+# cache with the two vectors between the product and the update.  With
+# fewer than 8 rows a block no longer pays for the vector traffic of its
+# update: at n = 40,000, 4-row blocks were 6-9% slower than CGS2, and
+# 1-row blocks 3.3-4.2 times slower (n = 40,000 and 160,000).  So from
+# n = BASIS_BYTES / 128 up, every step stays CGS2.
+BASIS_BYTES = 5 << 18
 
 
 class ZeroSeedError(ValueError):
@@ -82,9 +89,8 @@ class ZeroSeedError(ValueError):
 class ArnoldiState:
     """Mutable state of one Arnoldi run.
 
-    The basis vectors are the rows of one array, and the Hessenberg
-    columns the rows of another, both reserved for ``capacity`` vectors up
-    front (see :func:`arnoldi_init`) and written in place.
+    The basis vectors are the rows of one array, reserved for ``capacity``
+    vectors up front (see :func:`arnoldi_init`) and written in place.
 
     Attributes
     ----------
@@ -106,15 +112,18 @@ class ArnoldiState:
 
     def __init__(self, v1, seed_norm, breakdown_tol, capacity=None):
         n = v1.shape[0]
-        self._V, self._H = _reserve(capacity, n)
+        self._V = _basis_array(capacity, n)
         self._V[0] = v1
+        self._columns = []
         self.n = n
         self.k = 0
         self.seed_norm = float(seed_norm)
         self.breakdown_tol = float(breakdown_tol)
         self.broke_down = False
         self.breakdown_step = None
-        # Delayed run: (p, u) with u = A v_k - V_k p after one pass.
+        # Delayed run: the columns as rows of one array (see _densify), and
+        # (p, u) with u = A v_k - V_k p after one pass.
+        self._H = None
         self._ahead = None
 
     @property
@@ -134,7 +143,7 @@ class ArnoldiState:
 
     def column(self, j):
         """The ``j``-th Hessenberg column (0-based, length ``j + 2``)."""
-        return self._H[j, : j + 2]
+        return self._columns[j]
 
     def hessenberg(self, cols=None, rows=None):
         """Assemble the dense ``H`` with the given shape (defaults to
@@ -144,35 +153,42 @@ class ArnoldiState:
         if rows is None:
             rows = cols + 1
         H = np.zeros((rows, cols))
-        stored = min(rows, self._H.shape[1])
-        H[:stored] = self._H[:cols, :stored].T
+        for j in range(cols):
+            col = self._columns[j]
+            H[: min(len(col), rows), j] = col[:rows]
         return H
 
     def _grow(self):
-        """Double the rows of both arrays (at most ``n`` basis vectors),
-        copying the rows in use into the new arrays."""
+        """Double the rows of the basis array (at most ``n``), copying the
+        rows in use into the new array."""
         rows = len(self._V)
-        V, H = _allocate(min(2 * rows, self.n), self.n)
-        V[:rows] = self._V
-        H[:rows, : rows + 1] = self._H
-        self._V, self._H = V, H
+        grown = np.empty((min(2 * rows, self.n), self.n))
+        grown[:rows] = self._V
+        self._V = grown
+        if self._H is not None:
+            self._densify()
+
+    def _densify(self):
+        """Copy the Hessenberg columns into the rows of one zeroed array,
+        a row for each row of the basis, and keep them as views of it."""
+        rows = len(self._V)
+        H = np.zeros((rows, rows + 1))
+        for j, col in enumerate(self._columns):
+            H[j, : j + 2] = col
+        self._H = H
+        self._columns = [H[j, : j + 2] for j in range(len(self._columns))]
 
 
-def _allocate(rows, n):
-    """Uninitialized rows for ``rows`` basis vectors, and zeroed rows of
-    ``rows + 1`` entries for their Hessenberg columns."""
-    return np.empty((rows, n)), np.zeros((rows, rows + 1))
-
-
-def _reserve(capacity, n):
-    """Arrays for ``capacity`` basis vectors (at most ``n``), else, without
-    a capacity or when the OS refuses that many, for ``min(32, n)``."""
+def _basis_array(capacity, n):
+    """Uninitialized rows for the basis: ``capacity`` of them (at most
+    ``n``), else, without a capacity or when the OS refuses that many,
+    ``min(32, n)``."""
     if capacity is not None:
         try:
-            return _allocate(min(capacity, n), n)
+            return np.empty((min(capacity, n), n))
         except MemoryError:
             pass  # start small and double, as without a capacity
-    return _allocate(min(32, n), n)
+    return np.empty((min(32, n), n))
 
 
 def arnoldi_init(A, seed, breakdown_tol=1e-13, capacity=None):
@@ -180,8 +196,8 @@ def arnoldi_init(A, seed, breakdown_tol=1e-13, capacity=None):
 
     ``capacity`` is the number of basis vectors to reserve at once: ``k``
     steps need ``k + 1``, and more than ``n`` are never reserved.  A run
-    that outgrows it, or one started without it, doubles its arrays by
-    copying.
+    that outgrows it, or one started without it, doubles its basis array
+    by copying.
 
     Raises :class:`ZeroSeedError` when the seed norm is at or below
     ``breakdown_tol`` (the system is already solved, or the seed carries
@@ -199,6 +215,17 @@ def arnoldi_init(A, seed, breakdown_tol=1e-13, capacity=None):
     return ArnoldiState(seed / norm, norm, breakdown_tol, capacity)
 
 
+def _block_rows(k, n):
+    """Rows of ``V`` per block of the pass of a delayed step ``k`` on
+    vectors of length ``n``, or 0 where step ``k`` runs CGS2: while the
+    basis ``V_k`` is below ``BASIS_BYTES``, and at every step when half
+    of it holds fewer than 8 rows."""
+    rows = BASIS_BYTES // (16 * n)
+    if rows < 8 or 8 * (k + 1) * n < BASIS_BYTES:
+        return 0
+    return rows
+
+
 def arnoldi_step(state, A):
     """Advance one Arnoldi step; returns ``"advanced"`` or ``"breakdown"``.
 
@@ -213,34 +240,38 @@ def arnoldi_step(state, A):
     A = aslinearoperator(A)
     k = state.k
     Vk = state._V[: k + 1]
-    column = state._H[k, : k + 2]
+    rows = _block_rows(k, state.n)
     ahead = None
-    if 8 * (k + 1) * state.n < BASIS_BYTES:
+    if not rows:
         w = A.apply(Vk[k])
         wnorm = norm(w)
+        column = np.empty(k + 2)
         h = np.matmul(Vk, w, out=column[: k + 1])
         w -= h @ Vk
         corr = Vk @ w
         w -= corr @ Vk
         h += corr
     else:
-        if state._ahead is None:
+        if state._H is None:  # the first delayed step
+            state._densify()
             w = A.apply(Vk[k])
-            state._ahead = (_project(Vk, w[None])[0], w)
+            state._ahead = (_project(Vk, w[None], rows)[0], w)
+        column = state._H[k, : k + 2]
         p, w = state._ahead
         state._ahead = None
         wnorm = math.sqrt(p @ p + w @ w)
         if k + 1 == state.n or norm(w) <= state.breakdown_tol * max(1.0, wnorm):
-            c = _project(Vk, w[None])[0]
+            c = _project(Vk, w[None], rows)[0]
         else:
             uz = np.stack((w, A.apply(w)))
             uz_dot = uz[0] @ uz[1]
-            c, d = _project(Vk, uz)
+            c, d = _project(Vk, uz, rows)
             w = uz[0]
             ahead = (c, d, uz_dot, uz[1])
         np.add(p, c, out=column[: k + 1])
     hnext = norm(w)
     column[k + 1] = hnext
+    state._columns.append(column)
     state.k = k + 1
     if hnext <= state.breakdown_tol * max(1.0, wnorm) or state.k == state.n:
         state.broke_down = True
@@ -254,16 +285,14 @@ def arnoldi_step(state, A):
     return "advanced"
 
 
-def _project(Vk, X):
+def _project(Vk, X, rows):
     """One classical Gram-Schmidt pass of the rows of ``X`` against the
     rows of ``Vk``, in place; returns the coefficients ``X Vk^T`` (one row
     per row of ``X``).
 
-    ``Vk`` is taken in blocks of ``BASIS_BYTES / 2``: each block is read
-    from memory for its coefficients and again from cache for the update.
+    ``Vk`` is taken ``rows`` rows at a time: each block is read from
+    memory for its coefficients and again from cache for the update.
     """
-    n = Vk.shape[1]
-    rows = max(1, BASIS_BYTES // (16 * n))
     X0 = X.copy()
     C = np.empty((len(X), len(Vk)))
     for s in range(0, len(Vk), rows):

@@ -19,7 +19,8 @@ arrays.  Only when the parse or a check fails is the file read a second
 time, whole, and a locator scans its entry lines one at a time, to raise
 the error for the first offending line with its ``path:lineno:`` prefix.
 An input that cannot seek (a pipe) cannot be read twice: its error names
-the path but not the line.
+the path but not the line.  Nor does its size bound the entry count, so
+its arrays start at one block of entries and double as they fill.
 A ``%`` after the first field of an entry line is an error, not a
 trailing comment.
 Numbers are read as numpy reads them, so Python-only spellings such as
@@ -67,8 +68,9 @@ def read_matrix_market(path):
 
     The entry lines are parsed a block of ``_READ_BLOCK`` bytes at a time
     into index and value arrays reserved with the entry count of the
-    size line, so the memory a read needs is about the matrix it returns
-    (twice the CSR matrix at the peak), not a multiple of the file.  A
+    size line (grown as they fill when the input is not a regular file),
+    so the memory a read needs is about the matrix it returns (twice the
+    CSR matrix at the peak), not a multiple of the file.  A
     file that breaks the format is read a second time, to report its
     first bad line.
     """
@@ -126,13 +128,15 @@ def read_matrix_market(path):
             )
         # An entry line takes at least six bytes with its line end, so the
         # size of a regular file bounds the count: a false count fails
-        # before it reserves any memory.
+        # before it reserves any memory.  Other inputs (a pipe) give no
+        # bound, so their arrays start at one block of entries and grow.
         info = os.fstat(fh.fileno())
-        most = (info.st_size + 1) // 6 if stat.S_ISREG(info.st_mode) else nnz
+        regular = stat.S_ISREG(info.st_mode)
         coo = None
-        if 0 <= nnz <= most:
+        if 0 <= nnz and (not regular or nnz <= (info.st_size + 1) // 6):
             body = itertools.chain((lines.read(),), blocks)
-            coo = _read_entries(body, nrows, nnz)
+            reserve = nnz if regular else min(nnz, _READ_BLOCK // 6)
+            coo = _read_entries(body, nrows, nnz, reserve)
         if coo is None:
             if not fh.seekable():  # a pipe: the lines read are gone
                 raise MatrixMarketError(
@@ -170,15 +174,16 @@ def _blocks(fh):
         yield tail.replace(b"\r", b"\n")
 
 
-def _read_entries(blocks, n, nnz):
+def _read_entries(blocks, n, nnz, reserve):
     """The 0-based rows, the columns and the values of the entry lines in
     ``blocks``, or ``None`` when a line breaks the format or the count is
-    not ``nnz``."""
+    not ``nnz``.  The arrays start with ``reserve`` entries and double,
+    up to ``nnz``, when they fill."""
     # The index dtype scipy picks for an n x n matrix, so that the
     # conversion to CSR takes these arrays without a copy.
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    rows, cols = np.empty(nnz, dtype=index), np.empty(nnz, dtype=index)
-    vals = np.empty(nnz)
+    rows, cols = np.empty(reserve, dtype=index), np.empty(reserve, dtype=index)
+    vals = np.empty(reserve)
     filled = 0
     for block in blocks:
         try:
@@ -188,6 +193,9 @@ def _read_entries(blocks, n, nnz):
         end = filled + len(entries)
         if end > nnz or not (_in_range(entries["i"], n) and _in_range(entries["j"], n)):
             return None
+        if end > len(vals):
+            size = min(nnz, max(end, 2 * len(vals)))
+            rows, cols, vals = (_grown(a, filled, size) for a in (rows, cols, vals))
         rows[filled:end], cols[filled:end] = entries["i"], entries["j"]
         vals[filled:end] = entries["v"]
         filled = end
@@ -196,6 +204,14 @@ def _read_entries(blocks, n, nnz):
     rows -= 1
     cols -= 1
     return rows, cols, vals
+
+
+def _grown(a, filled, size):
+    """A copy of the first ``filled`` entries of ``a`` in an array of
+    ``size`` entries."""
+    out = np.empty(size, dtype=a.dtype)
+    out[:filled] = a[:filled]
+    return out
 
 
 def _parse_entries(text):

@@ -301,7 +301,10 @@ def test_pipe_reads_and_reports_errors(tmp_path):
         assert getattr(A, name).tobytes() == getattr(expected, name).tobytes()
     k = len(lines) - 5
     bad = "".join(line + "\n" for line in lines[:k] + ["7 7 x"] + lines[k + 1 :])
-    for text in (bad, GENERAL + "2 2 1\n1 3 1.0\n", GENERAL + "2 2 2\n1 1 1.0\n"):
+    # A pipe has no size to bound the count, so a false count is found
+    # by reading, not by reserving its arrays.
+    counts = [GENERAL + f"2 2 {nnz}\n1 1 1.0\n" for nnz in (2, -1, 10**12)]
+    for text in [bad, GENERAL + "2 2 1\n1 3 1.0\n"] + counts:
         with pytest.raises(MatrixMarketError, match=r"^/dev/fd/\d+: bad entry lines"):
             _read_through_pipe(text.encode())
 
