@@ -39,12 +39,12 @@ delayed step applies ``A`` to both ``v_k`` and ``u``.
 
 The rows of the basis are allocated up front: a caller that knows how
 many steps it may take passes ``capacity`` and gets an array of that many
-rows, written in place; the untouched rows never become resident.
-Without a capacity, or when the operating system refuses the
-reservation, the array starts at 32 rows and doubles by copying when it
-fills.  The Hessenberg columns are separate arrays until the run
-switches; from then on they are the rows of one zeroed array with a row
-for each row of the basis, so that ``H c`` is one product.
+rows, written in place; the untouched rows never become resident.  ``H``
+is one zeroed array beside it, ``r + 1`` rows by ``r`` columns for ``r``
+rows of basis, so that ``H c`` is one product and the solvers read its
+leading blocks in place.  Without a capacity, or when the operating
+system refuses either reservation, the pair starts at 32 rows and
+doubles by copying when the basis fills.
 
 A step whose new subdiagonal entry falls below
 ``breakdown_tol * max(1, ||A v_k||)`` is a happy breakdown: the subspace
@@ -91,6 +91,9 @@ class ArnoldiState:
 
     The basis vectors are the rows of one array, reserved for ``capacity``
     vectors up front (see :func:`arnoldi_init`) and written in place.
+    ``H`` is one zeroed array beside it, in its own orientation, with a
+    row more than the basis and a column per basis row.  Step ``j``
+    writes column ``j`` once, so views of ``H`` stay valid.
 
     Attributes
     ----------
@@ -112,18 +115,15 @@ class ArnoldiState:
 
     def __init__(self, v1, seed_norm, breakdown_tol, capacity=None):
         n = v1.shape[0]
-        self._V = _basis_array(capacity, n)
+        self._V, self._H = _reserve(capacity, n)
         self._V[0] = v1
-        self._columns = []
         self.n = n
         self.k = 0
         self.seed_norm = float(seed_norm)
         self.breakdown_tol = float(breakdown_tol)
         self.broke_down = False
         self.breakdown_step = None
-        # Delayed run: the columns as rows of one array (see _densify), and
-        # (p, u) with u = A v_k - V_k p after one pass.
-        self._H = None
+        # Delayed run: (p, u) with u = A v_k - V_k p after one pass.
         self._ahead = None
 
     @property
@@ -142,53 +142,44 @@ class ArnoldiState:
         return self._V[j]
 
     def column(self, j):
-        """The ``j``-th Hessenberg column (0-based, length ``j + 2``)."""
-        return self._columns[j]
+        """The ``j``-th Hessenberg column (0-based, length ``j + 2``), a
+        view."""
+        return self._H[: j + 2, j]
 
     def hessenberg(self, cols=None, rows=None):
-        """Assemble the dense ``H`` with the given shape (defaults to
-        ``(k+1) x k``)."""
+        """The leading ``rows x cols`` block of ``H`` (defaults to
+        ``(k+1) x k``), a view."""
         if cols is None:
             cols = self.k
         if rows is None:
             rows = cols + 1
-        H = np.zeros((rows, cols))
-        for j in range(cols):
-            col = self._columns[j]
-            H[: min(len(col), rows), j] = col[:rows]
-        return H
+        return self._H[:rows, :cols]
 
     def _grow(self):
-        """Double the rows of the basis array (at most ``n``), copying the
-        rows in use into the new array."""
+        """Double the rows of the basis (at most ``n``) and the order of
+        ``H``, copying what is in use into the new arrays."""
         rows = len(self._V)
-        grown = np.empty((min(2 * rows, self.n), self.n))
-        grown[:rows] = self._V
-        self._V = grown
-        if self._H is not None:
-            self._densify()
-
-    def _densify(self):
-        """Copy the Hessenberg columns into the rows of one zeroed array,
-        a row for each row of the basis, and keep them as views of it."""
-        rows = len(self._V)
-        H = np.zeros((rows, rows + 1))
-        for j, col in enumerate(self._columns):
-            H[j, : j + 2] = col
-        self._H = H
-        self._columns = [H[j, : j + 2] for j in range(len(self._columns))]
+        V, H = _arrays(min(2 * rows, self.n), self.n)
+        V[:rows] = self._V
+        H[: rows + 1, :rows] = self._H
+        self._V, self._H = V, H
 
 
-def _basis_array(capacity, n):
-    """Uninitialized rows for the basis: ``capacity`` of them (at most
-    ``n``), else, without a capacity or when the OS refuses that many,
+def _arrays(rows, n):
+    """Uninitialized ``rows`` of basis and a zeroed ``H`` to match."""
+    return np.empty((rows, n)), np.zeros((rows + 1, rows))
+
+
+def _reserve(capacity, n):
+    """The basis and ``H`` for ``capacity`` rows of basis (at most ``n``),
+    else, without a capacity or when the OS refuses either array,
     ``min(32, n)``."""
     if capacity is not None:
         try:
-            return np.empty((min(capacity, n), n))
+            return _arrays(min(capacity, n), n)
         except MemoryError:
             pass  # start small and double, as without a capacity
-    return np.empty((min(32, n), n))
+    return _arrays(min(32, n), n)
 
 
 def arnoldi_init(A, seed, breakdown_tol=1e-13, capacity=None):
@@ -209,10 +200,10 @@ def arnoldi_init(A, seed, breakdown_tol=1e-13, capacity=None):
         raise ValueError(f"seed has shape {seed.shape}, expected ({A.n},)")
     if capacity is not None and capacity < 1:
         raise ValueError(f"capacity must be at least 1, got {capacity}")
-    norm = float(np.linalg.norm(seed))
-    if norm <= breakdown_tol:
+    seed_norm = float(np.linalg.norm(seed))
+    if seed_norm <= breakdown_tol:
         raise ZeroSeedError("seed vector is numerically zero (already solved)")
-    return ArnoldiState(seed / norm, norm, breakdown_tol, capacity)
+    return ArnoldiState(seed / seed_norm, seed_norm, breakdown_tol, capacity)
 
 
 def _block_rows(k, n):
@@ -245,18 +236,15 @@ def arnoldi_step(state, A):
     if not rows:
         w = A.apply(Vk[k])
         wnorm = norm(w)
-        column = np.empty(k + 2)
-        h = np.matmul(Vk, w, out=column[: k + 1])
+        h = Vk @ w
         w -= h @ Vk
         corr = Vk @ w
         w -= corr @ Vk
         h += corr
     else:
-        if state._H is None:  # the first delayed step
-            state._densify()
+        if state._ahead is None:  # the first delayed step
             w = A.apply(Vk[k])
             state._ahead = (_project(Vk, w[None], rows)[0], w)
-        column = state._H[k, : k + 2]
         p, w = state._ahead
         state._ahead = None
         wnorm = math.sqrt(p @ p + w @ w)
@@ -268,10 +256,10 @@ def arnoldi_step(state, A):
             c, d = _project(Vk, uz, rows)
             w = uz[0]
             ahead = (c, d, uz_dot, uz[1])
-        np.add(p, c, out=column[: k + 1])
+        h = p + c
     hnext = norm(w)
-    column[k + 1] = hnext
-    state._columns.append(column)
+    state._H[: k + 1, k] = h
+    state._H[k + 1, k] = hnext
     state.k = k + 1
     if hnext <= state.breakdown_tol * max(1.0, wnorm) or state.k == state.n:
         state.broke_down = True
@@ -312,7 +300,7 @@ def _look_ahead(state, hnext, c, d, uz_dot, z):
     ``(g, z)`` with ``g = V^T A v`` and ``z`` overwritten by ``A v - V g``.
     """
     k = state.k
-    hc = c @ state._H[:k, : k + 1]
+    hc = state.hessenberg() @ c
     gamma = (uz_dot - c @ d) / hnext
     g = np.empty(k + 1)
     np.subtract(d, hc[:k], out=g[:k])

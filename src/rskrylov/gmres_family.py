@@ -57,7 +57,6 @@ from ._common import (
 from .arnoldi import ZeroSeedError, arnoldi_init, arnoldi_step
 from .hessenberg_qr import (
     BandedQr,
-    ColumnBuffer,
     HessenbergQr,
     HessenbergQrWithQ,
     SingularTriangularError,
@@ -172,9 +171,9 @@ class _Gmres(_Subproblem):
             self.anchor(self.beta1 * norm(col))
         return tail
 
-    def ares_estimate(self, k, hess):
+    def ares_estimate(self, k):
         # r_{k-1} = t_prev V_k q_prev, so A r_{k-1} = t_prev V_{k+1} H q_prev
-        hq = hess.view(k + 1, k) @ self.q_prev
+        hq = self.state.hessenberg(k) @ self.q_prev
         return abs(self.t_prev) * norm(hq)
 
 
@@ -209,10 +208,11 @@ class _Rrgmres(_Subproblem):
         tail = self.qr.append_column(self.state.column(k - 1), gk)
         return float(np.hypot(tail, norm(self.p)))
 
-    def ares_estimate(self, k, hess):
+    def ares_estimate(self, k):
         # A r_{k-1} = V_{k+1} (beta_hat e1 - H_{k+1,k} H_{k,k-1} y_{k-1})
         y = self.qr.solve(k - 1)
-        w = hess.view(k + 1, k) @ (hess.view(k, k - 1) @ y)
+        H = self.state.hessenberg(k)
+        w = H @ (H[:k, : k - 1] @ y)
         w[0] -= self.beta_hat
         return norm(w)
 
@@ -237,8 +237,6 @@ class _TwoLevel(_Subproblem):
         state = self.state
         arnoldi_step(state, self.A)
         col1 = state.column(0)
-        self.hbuf = ColumnBuffer()
-        self.hbuf.push(col1)
         s = state.seed_norm
         if self.hat:  # A r0 = s v_1
             self.anchor(s)
@@ -256,13 +254,12 @@ class _TwoLevel(_Subproblem):
         state = self.state
         if not state.broke_down:
             arnoldi_step(state, self.A)
-            self.hbuf.push(state.column(state.k - 1))
         self.inner.append_column(state.column(k - 1), 0.0)
         # Step k equals the dimension of the closed space: no outer column.
         self.closed = state.k < k + 1
         if self.closed:
             return 0.0
-        htcol = self.hbuf.view(k + 2, k + 1) @ self.inner.q_new_col
+        htcol = state.hessenberg(k + 1) @ self.inner.q_new_col
         t1, t2 = self.outer.append_column(htcol)
         return float(np.hypot(t1, t2))
 
@@ -456,7 +453,6 @@ class _EstimateMonitor(_RecurrenceMonitor):
     def __init__(self, sub):
         super().__init__(sub)
         self.row0 = len(self.hist.res) - 1  # history row of iterate 0
-        self.hess = ColumnBuffer()  # Hessenberg columns, for the estimates
         self.ares = []  # A-residual estimate of each iterate
         self.best_j = 0
         self.best_res = np.inf  # residual estimate of iterate best_j
@@ -477,9 +473,8 @@ class _EstimateMonitor(_RecurrenceMonitor):
 
     def advance(self, k):
         """A-residual and floor rules for iterate ``k - 1``."""
-        self.hess.push(self.sub.state.column(k - 1))
         try:
-            aest = self.sub.ares_estimate(k, self.hess)
+            aest = self.sub.ares_estimate(k)
         except SingularTriangularError:
             return self.fallback(None)
         j = k - 1

@@ -229,8 +229,8 @@ def test_reserved_basis_is_written_in_place():
 
 
 def test_small_basis_matches_reference_cgs2_bytes():
-    # Below BASIS_BYTES every step is CGS2: basis and Hessenberg columns
-    # equal this plain transcription of it bit for bit.
+    # Below BASIS_BYTES every step is CGS2: basis, Hessenberg columns and
+    # the whole H equal this plain transcription of it bit for bit.
     A = rk.make_bvp_matrix(rk.BvpSpec(m=50, d=10.0))
     v = np.random.default_rng(2).standard_normal(A.shape[0])
     steps = 60
@@ -253,8 +253,11 @@ def test_small_basis_matches_reference_cgs2_bytes():
     for _ in range(steps):
         assert arnoldi_step(state, A) == "advanced"
     assert state.basis().T.tobytes() == V.tobytes()
+    H = np.zeros((steps + 1, steps))
     for k, col in enumerate(columns):
         assert state.column(k).tobytes() == col.tobytes()
+        H[: k + 2, k] = col
+    assert state.hessenberg().tobytes() == H.tobytes()
 
 
 def test_delayed_basis_on_grid():

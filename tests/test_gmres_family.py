@@ -534,19 +534,23 @@ def test_refused_reservation_gives_the_same_report(monkeypatch, method, explicit
     A, b = grid_system()
     opts = rk.SolveOptions(tol=1e-14, maxit=45, record_explicit=explicit)
     want = rk.SOLVERS[method](A, b, opts=opts)
-    empty = np.empty
-    refused = []
+    # The reservation of a 45-step cycle: 47 basis vectors and their H.
+    # Refusing either gives the 32-row pair.
+    for name, shape in (("empty", (47, 100)), ("zeros", (48, 47))):
+        allocate = getattr(np, name)
+        refused = []
 
-    def refusing(shape, *args, **kwargs):
-        if shape == (47, 100):  # the reservation of a 45-step cycle
-            refused.append(shape)
-            raise MemoryError
-        return empty(shape, *args, **kwargs)
+        def refusing(asked, *args, **kwargs):
+            if asked == shape:
+                refused.append(asked)
+                raise MemoryError
+            return allocate(asked, *args, **kwargs)
 
-    monkeypatch.setattr(np, "empty", refusing)
-    got = rk.SOLVERS[method](A, b, opts=opts)
-    assert refused and got.iterations > 32  # the fallback array had to grow
-    assert_same_report(got, want)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, name, refusing)
+            got = rk.SOLVERS[method](A, b, opts=opts)
+        assert refused and got.iterations > 32  # the fallback arrays had to grow
+        assert_same_report(got, want)
 
 
 # Row 0 of matvec_history counts the matvecs taken before the first step:
