@@ -95,8 +95,7 @@ def maybe_lift(A, b, hist, x, x0, r_final, res_floor, termination, arn=None):
     A-residual rule just short of the residual floor) is not lifted: the
     lift would move a correct iterate along it.  ``r_final`` (``b - A x``)
     and ``arn`` (``|A r_final|``) are recomputed when the driver passes
-    ``None`` (``arn`` also when ``inf``), one matvec each.  ``hist``
-    supplies ``|r0|`` and ``|A r0|``.
+    ``None``, one matvec each.  ``hist`` supplies ``|r0|`` and ``|A r0|``.
     """
     if termination not in LIFT_TERMINATIONS:
         return None
@@ -105,7 +104,7 @@ def maybe_lift(A, b, hist, x, x0, r_final, res_floor, termination, arn=None):
     rnorm = norm(r_final)
     if rnorm <= res_floor or rnorm == 0.0:
         return None
-    if arn is None or np.isinf(arn):
+    if arn is None:
         arn = norm(A.apply(r_final))
     if not arn * hist.res[0] <= LIFT_RHO * rnorm * hist.ares[0]:
         return None

@@ -30,6 +30,11 @@ system: the best least squares iterate is returned as
 ``singular_final_system``, and all but RRGMRES and DGMRES apply the
 rank-one lift to it to recover the minimum-norm least squares solution.
 
+Every exit of both monitors goes through ``_Monitor._end``, which makes
+the explicit norms of the returned iterate the last history row: the
+closure step's row after a closure, otherwise the iterate's own row, with
+the rows checked after it dropped.
+
 Without explicit monitoring (``record_explicit=False``) GMRES and RRGMRES
 stop on a matvec-free estimate of the A-residual norm of the previous
 iterate, available one Arnoldi step late, and return a best iterate that
@@ -79,7 +84,8 @@ class _CycleResult(NamedTuple):
 
 
 class _Probe(NamedTuple):
-    """An iterate rebuilt and checked explicitly."""
+    """Iterate ``j`` checked explicitly, the monitors' only record of an
+    iterate; the best of estimate mode holds estimates and no ``x``."""
 
     j: int
     x: np.ndarray | None
@@ -93,11 +99,10 @@ class _Subproblem:
 
     Class attributes hold what follows from the method: ``hat`` (the
     Arnoldi seed is ``A r0``, not ``r0``), ``minimized`` (index of the
-    minimized norm in ``(|r|, |A r|)``), ``two_level`` (Arnoldi runs one
-    step ahead, so closure shows before the row of iterate ``k`` exists),
-    ``lift`` (the final iterate may need the rank-one lift), ``restarts``
-    (``opts.restart`` applies) and ``polish`` (steps run on past the
-    A-residual floor before the best iterate is returned).
+    minimized norm in ``(|r|, |A r|)``), ``lift`` (the final iterate may
+    need the rank-one lift), ``restarts`` (``opts.restart`` applies) and
+    ``polish`` (steps run on past the A-residual floor before the best
+    iterate is returned).
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
     by :meth:`start`; given the step budget of the cycle; may end the
@@ -108,7 +113,6 @@ class _Subproblem:
 
     hat = False
     minimized = 0
-    two_level = False
     lift = True
     restarts = True
     polish = 0
@@ -231,7 +235,6 @@ class _TwoLevel(_Subproblem):
     """
 
     minimized = 1
-    two_level = True
 
     def start(self):
         state = self.state
@@ -286,24 +289,25 @@ class _Dgmres(_TwoLevel):
 class _Monitor:
     """Explicit monitoring: checks every iterate with two matvecs.
 
-    Owns the stopping rules, the best least squares candidate of the cycle
-    (``x_lsq``, smallest explicit ``|A r|``, the fallback whenever the
-    subproblem degenerates), the growth guard, the closure guard, the
-    polish past the A-residual floor and the ``maxit`` tail.
+    Owns the stopping rules, the best least squares iterate of the cycle
+    (``best``, smallest explicit ``|A r|``, the fallback whenever the
+    subproblem degenerates), the last iterate recorded (``last``), the
+    growth guard, the closure guard, the polish past the A-residual floor
+    and the ``maxit`` tail.  Every exit goes through :meth:`_end`.
     """
 
     def __init__(self, sub):
         self.sub, self.A, self.b = sub, sub.A, sub.b
         self.hist, self.floors = sub.hist, sub.floors
-        self.x_lsq, self.r_lsq, self.rn_lsq = sub.x_in, sub.r0, sub.beta1
-        self.arn_lsq = sub.beta_hat if sub.minimized else np.inf
+        self.row0 = len(self.hist.res) - 1  # history row of iterate 0
+        arn = sub.beta_hat if sub.minimized else np.inf
+        self.best = self.last = _Probe(0, sub.x_in, sub.r0, sub.beta1, arn)
         # absolute slack of the guards on the minimized norm: relative to
         # |r0| of the cycle, or to |A r0| of the run
         self.slack = 1e-12 * (self.hist.ares[0] if sub.minimized else sub.beta1)
         # the history column of the minimized norm (Histories keeps its lists)
         self.minimized = sub.minimized
         self.minimized_log = (self.hist.res, self.hist.ares)[sub.minimized]
-        self.x_best = self.r_best = None  # the last iterate recorded
         self.polish_left = sub.polish
 
     def advance(self, k):
@@ -316,87 +320,81 @@ class _Monitor:
         value = arn if self.minimized else rn
         return value > self.minimized_log[-1] * factor + self.slack
 
+    def _end(self, p, termination, stop_rule, ell, est=np.nan):
+        """End the cycle with iterate ``p``, whose explicit norms become
+        the last history row: the row of the closure step ``ell`` (added
+        with ``est``), otherwise ``p``'s own row, the rows after it
+        dropped.  Iterate 0 of a residual minimizer is checked here."""
+        if p.arn == np.inf:
+            p = _Probe(p.j, p.x, *explicit_norms(self.A, self.b, p.x))
+        if ell is None:
+            self.hist.end_at(self.row0 + p.j, p.rn, p.arn, self.A.count)
+        else:
+            self.hist.append(p.rn, p.arn, est, self.A.count)
+        iters = p.j if ell is None else ell
+        return _CycleResult(p.x, p.r, termination, stop_rule, ell, iters, p.arn)
+
     def record(self, k, est):
         """Check iterate ``k`` explicitly, add its row, apply the rules."""
         hist, floors = self.hist, self.floors
         try:
             x = self.sub.iterate(k)
         except SingularTriangularError:
-            return self.best_lsq(k, None, est)
+            return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, None)
         r, rn, arn = explicit_norms(self.A, self.b, x)
         if self._rose(rn, arn, 2.0):
             # A clear increase of the minimized norm contradicts the
             # minimization: the subproblem has degenerated numerically.
-            return self.best_lsq(k - 1)
+            return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, None)
         hist.append(rn, arn, est, self.A.count)
-        self.x_best, self.r_best = x, r
-        if arn < self.arn_lsq:
-            self.x_lsq, self.r_lsq, self.rn_lsq, self.arn_lsq = x, r, rn, arn
+        self.last = p = _Probe(k, x, r, rn, arn)
+        if arn < self.best.arn:
+            self.best = p
         if rn <= floors["res"]:
-            return _CycleResult(x, r, CONVERGED, "residual", None, k, arn)
+            return self._end(p, CONVERGED, "residual", None)
         if arn <= floors["ares"]:
             # Past the floor a polishing method runs on (the first hit
             # counts) while |A r| keeps improving, then returns the best;
             # at the first hit the best is this iterate.
-            if self.polish_left <= 0 or arn > self.arn_lsq:
-                return self._lsq(CONVERGED, "aresidual", None, k)
+            if self.polish_left <= 0 or arn > self.best.arn:
+                return self._end(self.best, CONVERGED, "aresidual", None)
             self.polish_left -= 1
         return None
 
     def closure(self, k, est):
         """Accept the square solve at closure unless it is singular."""
-        hist = self.hist
         try:
             x = self.sub.closure(k)
-            r, rn, arn = explicit_norms(self.A, self.b, x)
+            p = _Probe(k, x, *explicit_norms(self.A, self.b, x))
             # The minimized norm cannot exceed the last one (nested
             # minimization); a jump proves the square system at closure is
             # numerically singular even when the diagonal guard missed it.
             # An A-residual above the best seen proves it too, whichever
             # way rounding moved the residual norm.
-            singular = self._rose(rn, arn, 1.0 + 1e-6) or (
-                arn > self.arn_lsq * (1.0 + 1e-6) + 1e-12 * hist.ares[0]
+            singular = self._rose(p.rn, p.arn, 1.0 + 1e-6) or (
+                p.arn > self.best.arn * (1.0 + 1e-6) + 1e-12 * self.hist.ares[0]
             )
         except SingularTriangularError:
             singular = True
         if not singular:
-            hist.append(rn, arn, est, self.A.count)
-            return _CycleResult(x, r, HAPPY_BREAKDOWN, None, k, k, arn)
+            return self._end(p, HAPPY_BREAKDOWN, None, k, est)
         return self.singular(k, est)
 
     def singular(self, k, est):
-        """``singular_final_system`` at closure in step ``k``."""
-        # A two-level method sees closure before iterate k has a history
-        # row: it adds none and reports k - 1 iterations.
-        if self.sub.two_level:
-            return self.best_lsq(k - 1, k)
-        return self.best_lsq(k, k, est)
-
-    def _lsq(self, termination, stop_rule, ell, iters):
-        x, r, arn = self.x_lsq, self.r_lsq, self.arn_lsq
-        return _CycleResult(x, r, termination, stop_rule, ell, iters, arn)
-
-    def best_lsq(self, iters, ell=None, est=None):
-        """``singular_final_system`` with the best least squares iterate;
-        with ``est``, a history row for it is appended first."""
-        if est is not None:
-            if np.isinf(self.arn_lsq):
-                self.r_lsq, self.rn_lsq, self.arn_lsq = explicit_norms(
-                    self.A, self.b, self.x_lsq
-                )
-            self.hist.append(self.rn_lsq, self.arn_lsq, est, self.A.count)
-        return self._lsq(SINGULAR_FINAL_SYSTEM, None, ell, iters)
+        """``singular_final_system`` at closure in step ``k``, with the
+        best least squares iterate."""
+        return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, k, est)
 
     def tail(self, budget):
         if self.polish_left < self.sub.polish:  # the floor was reached
-            return self._lsq(CONVERGED, "aresidual", None, budget)
-        return _CycleResult(self.x_best, self.r_best, MAXIT, None, None, budget)
+            return self._end(self.best, CONVERGED, "aresidual", None)
+        return self._end(self.last, MAXIT, None, None)
 
 
 class _RecurrenceMonitor(_Monitor):
     """Estimate mode of the methods without an A-residual estimate: the
     recurrence value is the minimized norm, recorded in its column; the
-    run stops once it is at its floor.  ``x_lsq`` stays at ``x_in``, so a
+    run stops once it is at its floor.  ``best`` stays at ``x_in``, so a
     singular closure returns the last iterate that can be rebuilt."""
 
     def _rebuilt(self, k):
@@ -430,7 +428,8 @@ class _EstimateMonitor(_RecurrenceMonitor):
     The subproblem hands in, one Arnoldi step late and without a matvec,
     an estimate of ``|A r_j|`` for iterate ``j = k - 1`` (at step ``k``);
     the residual estimate of that iterate is the last history row.
-    ``arn_lsq`` is the smallest A-residual estimate, of iterate ``best_j``.
+    ``best`` holds the smallest A-residual estimate and the residual
+    estimate of its iterate, not the iterate itself.
 
     * A-residual rule: an estimate at ``tol |A r0|`` is confirmed by one
       explicit ``|A r|``; at most ten times the floor ends ``converged``.
@@ -446,16 +445,12 @@ class _EstimateMonitor(_RecurrenceMonitor):
       cancellation in the estimate, can fool it).
 
     A failed A-residual confirmation, the floor rule and a singular
-    closure end the cycle through :meth:`fallback`.  The history ends at
-    the returned iterate, its row made explicit.
+    closure end the cycle through :meth:`fallback`.
     """
 
     def __init__(self, sub):
         super().__init__(sub)
-        self.row0 = len(self.hist.res) - 1  # history row of iterate 0
         self.ares = []  # A-residual estimate of each iterate
-        self.best_j = 0
-        self.best_res = np.inf  # residual estimate of iterate best_j
         self.residual_rule = True
 
     def _explicit(self, j):
@@ -467,10 +462,6 @@ class _EstimateMonitor(_RecurrenceMonitor):
             return _Probe(j, None, None, np.inf, np.inf)
         return _Probe(j, x, *explicit_norms(self.A, self.b, x))
 
-    def _end(self, p, termination, stop_rule, ell):
-        self.hist.end_at(self.row0 + p.j, p.rn, p.arn, self.A.count)
-        return _CycleResult(p.x, p.r, termination, stop_rule, ell, p.j, p.arn)
-
     def advance(self, k):
         """A-residual and floor rules for iterate ``k - 1``."""
         try:
@@ -479,16 +470,16 @@ class _EstimateMonitor(_RecurrenceMonitor):
             return self.fallback(None)
         j = k - 1
         self.ares.append(aest)
-        if aest < self.arn_lsq:
-            self.arn_lsq, self.best_j, self.best_res = aest, j, self.hist.est[-1]
+        if aest < self.best.arn:
+            self.best = _Probe(j, None, None, self.hist.est[-1], aest)
+        best = self.best
         if aest <= self.floors["ares"]:
             p = self._explicit(j)
             if p.arn <= 10.0 * self.floors["ares"]:
                 return self._end(p, CONVERGED, "aresidual", None)
             return self.fallback(None, p)
-        if aest > 10.0 * self.arn_lsq and (
-            self.arn_lsq * self.hist.res[0]
-            <= LIFT_RHO * self.best_res * self.hist.ares[0]
+        if aest > 10.0 * best.arn and (
+            best.arn * self.hist.res[0] <= LIFT_RHO * best.rn * self.hist.ares[0]
         ):
             return self.fallback(None)
         return None
@@ -511,15 +502,15 @@ class _EstimateMonitor(_RecurrenceMonitor):
         return self._end(_Probe(k, x, r, rn, np.nan), CONVERGED, "residual", None)
 
     def singular(self, k, est):
-        return self.fallback(k)
+        return self.fallback(k, est=est)
 
-    def fallback(self, ell, probe=None):
+    def fallback(self, ell, probe=None, est=np.nan):
         """``singular_final_system`` with the best-estimate iterate, checked
         explicitly.  When its explicit ``|A r|`` is above ten times its
         estimate, the estimates had drifted from the true values before
         it: bisect for the last iterate whose explicit value still agrees
         with its estimate, and return the smallest explicit value seen."""
-        j = self.best_j
+        j = self.best.j
         if probe is None or probe.j != j:
             probe = self._explicit(j)
         probes = [probe]
@@ -536,7 +527,7 @@ class _EstimateMonitor(_RecurrenceMonitor):
                 else:
                     hi = mid
         best = min(probes, key=lambda p: p.arn)
-        return self._end(best, SINGULAR_FINAL_SYSTEM, None, ell)
+        return self._end(best, SINGULAR_FINAL_SYSTEM, None, ell, est)
 
 
 def _cycle(sub, budget):

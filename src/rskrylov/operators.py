@@ -145,11 +145,13 @@ class SolveOptions:
         declared zero (happy breakdown).
     record_explicit : bool
         Recompute ``r_k = b - A x_k`` and ``A r_k`` every iteration and
-        record their true norms (two extra matvecs per iteration).  When
+        record their true norms (two extra matvecs per iteration); the
+        last row then holds the norms of the returned ``solution``.  When
         off, histories contain the recurrence estimates instead, with
         ``nan`` where a method has no cheap estimate; the last row of a
-        GMRES or RRGMRES run that stops on a rule holds the explicit norms
-        of the returned iterate.
+        GMRES or RRGMRES run that ends other than by ``maxit`` holds the
+        explicit norms of the returned iterate (only ``|r|`` after the
+        residual rule).
     """
 
     tol: float = 1e-10
@@ -174,14 +176,20 @@ class SolveReport:
     """Outcome of one solve.
 
     ``residual_history`` and ``aresidual_history`` hold ``||r_k||`` and
-    ``||A r_k||`` with one entry per completed iteration plus the initial
-    values.  ``estimate_history`` holds the method's own per-iteration
-    subproblem estimate (a ``||r_k||`` estimate for GMRES/RRGMRES/MINRES,
-    a ``||A r_k||`` estimate for DGMRES/RSMAR/MINARES).  ``matvec_history``
-    gives the cumulative matvec count at each history row and
-    ``matvec_count`` the exact total.  ``detected_ell`` is the maximal
-    Krylov dimension found by the underlying orthogonalization process
-    (for the seed the method uses), if the run reached it.
+    ``||A r_k||`` with one entry per iteration plus the initial values.
+    ``iterations`` counts the rows after the initial one: the steps up to
+    the returned iterate, or up to the closure step when the Krylov space
+    closed (at a singular closure without explicit monitoring, the
+    methods other than GMRES and RRGMRES stop one step short of it).  The
+    last row belongs to ``solution`` (see ``SolveOptions.record_explicit``);
+    rows of iterates checked after it are dropped.  ``estimate_history``
+    holds the method's own per-iteration subproblem estimate (a
+    ``||r_k||`` estimate for GMRES/RRGMRES/MINRES, a ``||A r_k||``
+    estimate for DGMRES/RSMAR/MINARES).  ``matvec_history`` gives the
+    cumulative matvec count at each history row and ``matvec_count`` the
+    exact total.  ``detected_ell`` is the maximal Krylov dimension found
+    by the underlying orthogonalization process (for the seed the method
+    uses), if the run reached it.
     """
 
     method: str

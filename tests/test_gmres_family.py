@@ -490,6 +490,43 @@ def test_estimate_mode_returns_best_iterate_on_criterion07(method, seed):
         assert ares <= 1e-6
 
 
+def ending_system(name):
+    """The systems of the history-ending test, with their options."""
+    if name.startswith("c07"):
+        A, _, b = make_criterion07_instance(int(name[-1]))
+        return A, b, dict(tol=1e-13, maxit=4 * A.shape[0])
+    m, d = {"grid-m20-d10": (20, 10.0), "grid-m10-d0": (10, 0.0)}[name]
+    spec = rk.BvpSpec(m=m, d=d)
+    A = rk.make_bvp_matrix(spec)
+    return A, rk.make_bvp_rhs(spec, "inconsistent_xy"), dict(tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "method, explicit",
+    [(method, True) for method in rk.SOLVERS] + [("gmres", False), ("rrgmres", False)],
+)
+@pytest.mark.parametrize(
+    "system", ["grid-m20-d10", "grid-m10-d0", "c07-s1", "c07-s3", "c07-s9"]
+)
+def test_history_ends_at_the_returned_iterate(system, method, explicit):
+    # On the grids explicit gmres and minres return an iterate checked
+    # before the last one; on c07 rsmar2 and estimate-mode gmres and
+    # rrgmres end at a singular closure with an earlier iterate.  The last
+    # row holds the explicit norms of the answer, and the closure step is
+    # the last iteration.
+    A, b, options = ending_system(system)
+    rep = rk.SOLVERS[method](A, b, record_explicit=explicit, **options)
+    r = b - A @ rep.solution
+    rn, arn = np.linalg.norm(r), np.linalg.norm(A @ r)
+    # estimate mode keeps estimates in the row of a maxit or residual stop
+    if explicit or (rep.termination != rk.MAXIT and rep.stop_rule != "residual"):
+        assert rep.aresidual_history[-1] == pytest.approx(arn, rel=1e-12, abs=0.0)
+    if explicit or rep.termination != rk.MAXIT:
+        assert rep.residual_history[-1] == pytest.approx(rn, rel=1e-12, abs=0.0)
+    if rep.detected_ell is not None:
+        assert rep.iterations == rep.detected_ell
+
+
 LONG_METHODS = ("gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2")
 MODES = [pytest.param(True, id="explicit"), pytest.param(False, id="estimate")]
 

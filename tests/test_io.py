@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 
 import numpy as np
@@ -520,6 +521,29 @@ def test_cli_solve_identity_converges_first_iteration(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "iterations=1" in out
+
+
+@pytest.mark.parametrize("method, d", [("gmres", "10"), ("minres", "0")])
+def test_cli_solve_prints_the_norms_of_the_answer(tmp_path, capsys, method, d):
+    # Both runs return an iterate checked before the last one: gmres runs on
+    # past its attainable floor, minres polishes past the A-residual floor.
+    # The printed |Ar| and the history's last row must still be its own.
+    mtx, out, csv_path = tmp_path / "a.mtx", tmp_path / "x.txt", tmp_path / "h.csv"
+    assert cli_main(["generate", "bvp", "--m", "10", "--d", d, "--out", str(mtx)]) == 0
+    rc = cli_main(
+        [
+            "solve", "--method", method, "--matrix", str(mtx), "--rhs-kind", "xy",
+            "--history", str(csv_path), "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    printed = float(re.search(r"\|Ar\|=(\S+)", capsys.readouterr().out).group(1))
+    A = read_matrix_market(mtx)
+    b = rk.make_bvp_rhs(rk.BvpSpec(m=10), "inconsistent_xy")
+    arn = np.linalg.norm(A @ (b - A @ read_vector(out)))
+    _, rows = read_history_csv(csv_path)
+    assert printed == pytest.approx(arn, rel=1e-6, abs=0.0)
+    assert rows[-1]["ares_norm"] == pytest.approx(arn, rel=1e-6, abs=0.0)
 
 
 def test_cli_compare_bvp_inconsistent(tmp_path):
