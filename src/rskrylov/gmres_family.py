@@ -263,8 +263,7 @@ class _TwoLevel(_Subproblem):
         if self.closed:
             return 0.0
         htcol = state.hessenberg(k + 1) @ self.inner.q_new_col
-        t1, t2 = self.outer.append_column(htcol)
-        return float(np.hypot(t1, t2))
+        return self.outer.append_column(htcol)
 
     def iterate(self, k):
         z = self.inner.apply_rinv(self.outer.solve(k), k)

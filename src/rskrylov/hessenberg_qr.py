@@ -1,24 +1,31 @@
 """Incremental QR factorizations via Givens rotations.
 
-:class:`HessenbergQr` factors a column-growing matrix with one subdiagonal
-(the Arnoldi Hessenberg) while maintaining the rotated right-hand side, so
-the tail entry of the transformed RHS is the least squares residual of the
-current subproblem.  :class:`BandedQr` does the same for matrices whose
-columns reach two rows below the diagonal, as produced by the second
-factorization level of the long-recurrence A-residual method; each column
-append there applies exactly two new rotations.
+:class:`HessenbergQr` factors a column-growing matrix whose columns reach
+``band`` rows below the diagonal while maintaining the rotated right-hand
+side, so the last ``band`` entries of the transformed RHS hold the least
+squares residual of the current subproblem.  Its default band of one is
+the Arnoldi Hessenberg; :class:`BandedQr` is the same class with a band of
+two, for the second factorization level of the long-recurrence A-residual
+methods.  Each column append applies the stored rotations, then ``band``
+new ones that zero the new subdiagonal entries from the bottom up.  For
+both bands, ``rotations`` holds ``(row, c, s)`` triples, each acting on
+rows ``row`` and ``row + 1``, and :meth:`HessenbergQr.append_column`
+returns the subproblem's minimal residual as one float: ``|t[-1]|`` for a
+band of one, the root sum of squares of ``t[-2:]`` for a band of two (the
+two tail entries themselves are ``t[-2:]``).
 
 Rotations use the convention ``[[c, s], [-s, c]]`` with signs chosen so
 every diagonal entry of ``R`` is nonnegative, which makes the factors
 deterministic.
 
-A solve of the leading ``k x k`` block raises
-:class:`SingularTriangularError` when the smallest ``|R[i, i]|`` of the
-block is at most ``1e-14`` times the largest.  Both extremes are recorded
-for every leading block as its column is appended (running minimum and
-maximum), so the guard costs O(1) per solve.
+A solve of the leading ``size x size`` block (``0 <= size <= k``, a
+``ValueError`` otherwise) raises :class:`SingularTriangularError` when
+the smallest ``|R[i, i]|`` of the block is at most ``1e-14`` times the
+largest.  Both extremes are recorded for every leading block as its
+column is appended (running minimum and maximum), so the guard costs O(1)
+per solve.
 
-Both factors also keep ``W = R^{-1}``, extended lazily: a solve of size
+The factor also keeps ``W = R^{-1}``, extended lazily: a solve of size
 ``k`` when ``W`` holds ``k - 1`` columns first appends column ``k`` as
 ``[-W r / rho; 1 / rho]`` (``r`` and ``rho`` the new column of ``R`` above
 and on the diagonal), one matrix-vector product, and then returns
@@ -123,25 +130,40 @@ def solve_upper(R, rhs):
 
 
 def _rotate_rows(col, rotations):
-    """Apply ``(row, c, s)`` rotations in order to a list of floats."""
+    """Apply ``(row, c, s)`` rotations in order to a list of floats, or to
+    a list of row arrays (each rotated row is a new array)."""
     for row, c, s in rotations:
         ci, cip = col[row], col[row + 1]
         col[row] = c * ci + s * cip
         col[row + 1] = -s * ci + c * cip
 
 
-class _TriangularFactor:
-    """Storage of the ``k x k`` triangular factor shared by both QRs, and
-    of its inverse as far as solves have needed it.  ``_lo[j]`` and
-    ``_hi[j]`` are the smallest and largest ``|R[i, i]|`` over ``i <= j``
-    (``nan`` once a ``nan`` enters, as ``np.min`` and ``np.max`` give).
+class HessenbergQr:
+    """Incremental QR, with rotated RHS, of a matrix whose column ``j``
+    (0-based) has entries through row ``j + band`` only.
+
+    Parameters
+    ----------
+    rhs_seed : float, or ``band`` floats
+        The leading entries of the right-hand side (for ``band = 1`` the
+        seed norm ``beta``); the transformed RHS starts as them.
+
+    After ``k`` column appends the object holds the rotations, the
+    ``k x k`` triangular factor, and ``t = Q^T g`` of length ``k + band``
+    where ``g`` collects the RHS entries passed to :meth:`append_column`.
+    The norm of the last ``band`` entries of ``t``, which
+    :meth:`append_column` returns, is the subproblem's minimal residual.
+    ``_lo[j]`` and ``_hi[j]`` are the smallest and largest ``|R[i, i]|``
+    over ``i <= j`` (``nan`` once a ``nan`` enters, as ``np.min`` and
+    ``np.max`` give).
     """
 
-    def __init__(self):
-        self._r = ColumnBuffer()
-        self._w = ColumnBuffer()
-        self._lo = []
-        self._hi = []
+    band = 1
+
+    def __init__(self, rhs_seed):
+        self.rcols = []  # an empty factor
+        self.rotations = []  # (row, c, s) acting on (row, row + 1), in order
+        self.t = np.asarray(rhs_seed, dtype=np.float64).reshape(self.band).tolist()
 
     def _push(self, col):
         """Append column ``k`` (its first ``k + 1`` entries are used)."""
@@ -162,12 +184,14 @@ class _TriangularFactor:
     @property
     def rcols(self):
         """Columns of the triangular factor (column ``j`` has ``j + 1``
-        entries); assigning a list of columns replaces the factor."""
+        entries); assigning a list of columns replaces the factor and
+        discards ``W``."""
         return [self._r.view(j + 1, j + 1)[:, j] for j in range(self.k)]
 
     @rcols.setter
     def rcols(self, cols):
-        _TriangularFactor.__init__(self)
+        self._r, self._w = ColumnBuffer(), ColumnBuffer()
+        self._lo, self._hi = [], []
         for col in cols:
             self._push(col)
 
@@ -177,12 +201,65 @@ class _TriangularFactor:
             size = self.k
         return self._r.view(size, size).copy()
 
+    def append_column(self, column, rhs_append=0.0):
+        """Append one column (length ``k + 1 + band``) and one RHS entry;
+        returns the subproblem's minimal residual."""
+        k, band = self.k, self.band
+        col = np.asarray(column, dtype=np.float64).tolist()
+        if len(col) != k + 1 + band:
+            raise ValueError(f"column has length {len(col)}, expected {k + 1 + band}")
+        _rotate_rows(col, self.rotations)
+        # Zero the lowest entry first, then the ones above it.
+        for row in range(k + band - 1, k - 1, -1):
+            c, s, col[row] = _givens(col[row], col[row + 1])
+            self.rotations.append((row, c, s))
+        self._push(col)
+        t = self.t
+        t.append(float(rhs_append))
+        _rotate_rows(t, self.rotations[-band:])
+        if band == 1:
+            return abs(t[-1])
+        return float(np.hypot(t[-2], t[-1]))
+
+    def q_matrix(self):
+        """Dense ``(k + band) x (k + band)`` orthogonal factor rebuilt from
+        the stored rotations (for verification)."""
+        rows = list(np.eye(self.k + self.band))
+        _rotate_rows(rows, self.rotations)
+        return np.array(rows).T
+
+    def solve(self, size=None):
+        """Solve ``R z = t[:size]``.
+
+        Raises :class:`SingularTriangularError` when the leading diagonal
+        spread exceeds the relative floor; GMRES maps that condition to a
+        ``singular_final_system`` termination on inconsistent systems.
+        """
+        return self._solve(self.t, size)
+
+    def apply_rinv(self, rhs, size=None):
+        """Solve ``R z = rhs`` for an arbitrary right-hand side (used by
+        the two-level factorization to undo the inner factor)."""
+        return self._solve(rhs, size)
+
+    def solve_rhs(self, rhs):
+        """Least squares solve of the current factorization against an
+        arbitrary dense right-hand side (padded with zeros to length
+        ``k + band``)."""
+        k = self.k
+        g = [0.0] * (k + self.band)
+        g[: len(rhs)] = np.asarray(rhs, dtype=np.float64).tolist()
+        _rotate_rows(g, self.rotations)
+        return self._solve(g, k)
+
     def _solve(self, rhs, size):
         """Solve ``R[:size, :size] z = rhs[:size]``, raising
         :class:`SingularTriangularError` when the relative diagonal spread
         is below the floor."""
         if size is None:
             size = self.k
+        elif not 0 <= size <= self.k:
+            raise ValueError(f"size {size} is outside 0..k with k = {self.k}")
         rhs = np.asarray(rhs[:size], dtype=np.float64)
         if size == 0:
             return np.zeros(0)
@@ -204,87 +281,14 @@ class _TriangularFactor:
         return solve_upper(R, rhs)
 
 
-class HessenbergQr(_TriangularFactor):
-    """Incremental QR of an upper-Hessenberg matrix with rotated RHS.
+class BandedQr(HessenbergQr):
+    """:class:`HessenbergQr` for columns reaching two rows below the
+    diagonal, as the second factorization level of rsmar2 and dgmres
+    produces: ``rhs_seed`` is a pair, each append applies two new
+    rotations (zeroing rows ``k+2`` then ``k+1``), and the residual it
+    returns is the root sum of squares of the pair ``t[-2:]``."""
 
-    Parameters
-    ----------
-    rhs_seed : float
-        First entry of the right-hand side (the seed norm ``beta``); the
-        transformed RHS starts as ``[rhs_seed]``.
-
-    After ``k`` column appends the object holds the rotation pairs, the
-    ``k x k`` triangular factor, and ``t = Q^T g`` of length ``k + 1``
-    where ``g`` collects the RHS entries passed to :meth:`append_column`.
-    The absolute tail entry ``|t[k]|``, which :meth:`append_column`
-    returns, is the subproblem's minimal residual.
-    """
-
-    def __init__(self, rhs_seed):
-        super().__init__()
-        self.rotations = []
-        self.t = [float(rhs_seed)]
-
-    def _rotate(self, vec):
-        """Apply the stored rotations in order to a list of floats."""
-        for i, (c, s) in enumerate(self.rotations):
-            vi, vip = vec[i], vec[i + 1]
-            vec[i] = c * vi + s * vip
-            vec[i + 1] = -s * vi + c * vip
-
-    def append_column(self, column, rhs_append=0.0):
-        """Append one Hessenberg column (length ``k + 2``) and one RHS
-        entry; returns the new tail scalar ``|t[k+1]|``."""
-        k = self.k
-        col = np.asarray(column, dtype=np.float64).tolist()
-        if len(col) != k + 2:
-            raise ValueError(f"column has length {len(col)}, expected {k + 2}")
-        self._rotate(col)
-        c, s, r = _givens(col[k], col[k + 1])
-        col[k] = r
-        self.rotations.append((c, s))
-        self._push(col)
-        self.t.append(float(rhs_append))
-        tk, tk1 = self.t[k], self.t[k + 1]
-        self.t[k] = c * tk + s * tk1
-        self.t[k + 1] = -s * tk + c * tk1
-        return abs(self.t[k + 1])
-
-    def q_matrix(self):
-        """Dense ``(k+1) x (k+1)`` orthogonal factor rebuilt from the
-        stored rotations (for verification)."""
-        k = self.k
-        Q = np.eye(k + 1)
-        for i, (c, s) in enumerate(self.rotations):
-            gi = Q[i].copy()
-            gip = Q[i + 1].copy()
-            Q[i] = c * gi + s * gip
-            Q[i + 1] = -s * gi + c * gip
-        return Q.T
-
-    def solve(self, size=None):
-        """Solve ``R z = t[:size]``.
-
-        Raises :class:`SingularTriangularError` when the leading diagonal
-        spread exceeds the relative floor; GMRES maps that condition to a
-        ``singular_final_system`` termination on inconsistent systems.
-        """
-        return self._solve(self.t, size)
-
-    def apply_rinv(self, rhs, size=None):
-        """Solve ``R z = rhs`` for an arbitrary right-hand side (used by
-        the two-level factorization to undo the inner factor)."""
-        return self._solve(rhs, size)
-
-    def solve_rhs(self, rhs):
-        """Least squares solve of the current factorization against an
-        arbitrary dense right-hand side (padded with zeros to length
-        ``k + 1``)."""
-        k = self.k
-        g = [0.0] * (k + 1)
-        g[: len(rhs)] = np.asarray(rhs, dtype=np.float64).tolist()
-        self._rotate(g)
-        return self._solve(g, k)
+    band = 2
 
 
 class HessenbergQrWithQ(HessenbergQr):
@@ -305,7 +309,7 @@ class HessenbergQrWithQ(HessenbergQr):
 
     def append_column(self, column, rhs_append=0.0):
         tail = super().append_column(column, rhs_append)
-        c, s = self.rotations[-1]
+        _, c, s = self.rotations[-1]
         # Q_{k+1} e_{k+1} = c * [qlast; 0] + s * e_{k+2} and the running
         # last column becomes -s * [qlast; 0] + c * e_{k+2}.
         self.q_new_col = _combine(c, s, self.q_last)
@@ -322,59 +326,3 @@ def _combine(a, b, q):
     head += b * 0.0
     out[-1] = a * 0.0 + b * 1.0
     return out
-
-
-class BandedQr(_TriangularFactor):
-    """Incremental QR for columns reaching two rows below the diagonal.
-
-    Parameters
-    ----------
-    rhs_seed : pair of floats
-        The two leading RHS entries (the transformed RHS starts as this
-        pair, of length ``k + 2`` after ``k`` appends).
-
-    Column ``j`` (1-based) must have entries through row ``j + 2`` only.
-    Each append applies the stored rotations and exactly two new ones
-    (zeroing rows ``j+2`` then ``j+1``), and returns the pair
-    ``(|t[j]|, |t[j+1]|)`` whose root sum of squares is the subproblem's
-    minimal residual.
-    """
-
-    def __init__(self, rhs_seed):
-        super().__init__()
-        a, b = rhs_seed
-        self.rotations = []  # (row, c, s) acting on (row, row + 1), in order
-        self.t = [float(a), float(b)]
-
-    def append_column(self, column):
-        k = self.k
-        col = np.asarray(column, dtype=np.float64).tolist()
-        if len(col) != k + 3:
-            raise ValueError(f"column has length {len(col)}, expected {k + 3}")
-        _rotate_rows(col, self.rotations)
-        new_rots = []
-        # Zero the lowest entry first, then the one above it.
-        for row in (k + 1, k):
-            c, s, r = _givens(col[row], col[row + 1])
-            col[row] = r
-            col[row + 1] = 0.0
-            new_rots.append((row, c, s))
-        self.rotations.extend(new_rots)
-        self._push(col)
-        self.t.append(0.0)
-        _rotate_rows(self.t, new_rots)
-        return abs(self.t[k + 1]), abs(self.t[k + 2])
-
-    def q_matrix(self):
-        """Dense ``(k+2) x (k+2)`` orthogonal factor for verification."""
-        k = self.k
-        Q = np.eye(k + 2)
-        for row, c, s in self.rotations:
-            gi = Q[row].copy()
-            gip = Q[row + 1].copy()
-            Q[row] = c * gi + s * gip
-            Q[row + 1] = -s * gi + c * gip
-        return Q.T
-
-    def solve(self, size=None):
-        return self._solve(self.t, size)

@@ -9,8 +9,9 @@ wrapped in a :class:`LinearOperator`.
 A matrix is checked once, when it is wrapped: a non-finite entry is a
 ``ValueError``.  The solvers then apply it without further checks.  The
 output of a user-supplied ``LinearOperator`` callable is checked on every
-apply instead: it is converted to a contiguous float64 vector and its
-length must be ``n``.
+apply instead: it is converted to a contiguous float64 vector, its length
+must be ``n`` and its entries finite (a ``ValueError`` otherwise, raised
+at the first apply that breaks the rule).
 
 All of these objects are treated as immutable after construction: the
 solvers never write into ``A``, ``b`` or ``x0``, so one system may be
@@ -76,6 +77,8 @@ class LinearOperator:
     def apply(self, v):
         v = as_vector(v, self.n)
         out = as_vector(self._apply(v), self.n)
+        if not np.isfinite(out).all():
+            raise ValueError("LinearOperator output has non-finite entries")
         return out
 
     def __matmul__(self, v):
@@ -90,7 +93,7 @@ def aslinearoperator(A):
 
     A matrix with a non-finite entry is rejected with ``ValueError``.  The
     entries behind a ``LinearOperator`` are not visible; its outputs are
-    converted and their length checked on every apply instead.
+    converted and their length and entries checked on every apply instead.
     """
     if isinstance(A, LinearOperator):
         return A

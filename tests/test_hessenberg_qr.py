@@ -5,7 +5,7 @@ from scipy.linalg import solve_triangular
 
 import rskrylov as rk
 from rskrylov import BandedQr, HessenbergQr, SingularTriangularError
-from rskrylov.hessenberg_qr import ColumnBuffer, solve_upper
+from rskrylov.hessenberg_qr import ColumnBuffer, HessenbergQrWithQ, solve_upper
 
 
 def hessenberg_from_arnoldi(A, seed, steps):
@@ -23,7 +23,8 @@ def test_first_column_3_4():
     qr = HessenbergQr(1.0)
     tail = qr.append_column([3.0, 4.0])
     assert qr.rcols[0][0] == pytest.approx(5.0)
-    c, s = qr.rotations[0]
+    row, c, s = qr.rotations[0]
+    assert row == 0
     assert (c, s) == (pytest.approx(0.6), pytest.approx(0.8))
     assert tail == pytest.approx(0.8)
     assert qr.t[0] == pytest.approx(0.6)
@@ -65,8 +66,9 @@ def test_factorization_reconstructs_hessenberg(seed):
     R = np.vstack([qr.r_matrix(), np.zeros((1, k))])
     assert np.linalg.norm(H - Q @ R) <= 1e-12 * np.linalg.norm(H)
     assert np.linalg.norm(Q.T @ Q - np.eye(k + 1)) <= 1e-12
-    # rotation pairs are unit-modulus
-    for c, s in qr.rotations:
+    # rotation i acts on rows (i, i + 1) and is unit-modulus
+    for i, (row, c, s) in enumerate(qr.rotations):
+        assert row == i
         assert c * c + s * s == pytest.approx(1.0)
     # diagonal of R is nonnegative
     assert np.all(np.diag(qr.r_matrix()) >= 0)
@@ -99,7 +101,7 @@ def test_solve_back_substitution():
     qr = HessenbergQr(3.0)
     qr.rcols = [np.array([1.0]), np.array([1.0, 2.0])]
     qr.t = [3.0, 4.0, 0.0]
-    qr.rotations = [(1.0, 0.0), (1.0, 0.0)]
+    qr.rotations = [(0, 1.0, 0.0), (1, 1.0, 0.0)]
     assert_allclose(qr.solve(), [1.0, 2.0])
 
 
@@ -113,7 +115,7 @@ def test_solve_singular_guard():
     qr = HessenbergQr(1.0)
     qr.rcols = [np.array([1.0]), np.array([0.5, 1e-16])]
     qr.t = [1.0, 1.0, 0.0]
-    qr.rotations = [(1.0, 0.0), (1.0, 0.0)]
+    qr.rotations = [(0, 1.0, 0.0), (1, 1.0, 0.0)]
     with pytest.raises(SingularTriangularError):
         qr.solve()
 
@@ -228,9 +230,11 @@ def test_assigning_rcols_discards_inverse():
 
 def test_banded_first_column_identity_case():
     qr = BandedQr((2.0, 3.0))
-    t1, t2 = qr.append_column([1.0, 0.0, 0.0])
+    resid = qr.append_column([1.0, 0.0, 0.0])
     assert qr.r_matrix()[0, 0] == pytest.approx(1.0)
+    t1, t2 = abs(qr.t[-2]), abs(qr.t[-1])
     assert (t1, t2) == (pytest.approx(3.0), pytest.approx(0.0))
+    assert resid == np.hypot(t1, t2)
 
 
 def test_banded_first_column_permutation_case():
@@ -273,7 +277,9 @@ def test_banded_tail_pair_is_least_squares_residual(seed):
     g[0], g[1] = rng.standard_normal(2)
     qr = BandedQr((g[0], g[1]))
     for j in range(k):
-        t1, t2 = qr.append_column(M[: j + 3, j])
+        tail = qr.append_column(M[: j + 3, j])
+    t1, t2 = qr.t[-2:]
+    assert tail == np.hypot(t1, t2)
     z, *_ = np.linalg.lstsq(M, g, rcond=None)
     resid = np.linalg.norm(g - M @ z)
     assert np.hypot(t1, t2) == pytest.approx(resid, abs=1e-10)
@@ -287,3 +293,24 @@ def test_column_length_validation():
     bqr = BandedQr((1.0, 0.0))
     with pytest.raises(ValueError):
         bqr.append_column([1.0, 2.0])
+    # a solve size outside 0..k names k instead of indexing past the factor
+    with pytest.raises(ValueError, match="k = 0"):
+        HessenbergQr(1.0).solve(3)
+    qr.append_column([2.0, 1.0])
+    for size in (-1, 2):
+        with pytest.raises(ValueError, match="k = 1"):
+            qr.solve(size)
+        with pytest.raises(ValueError, match="k = 1"):
+            qr.apply_rinv([1.0, 1.0], size)
+    assert_allclose(qr.solve(0), [])
+    assert_allclose(qr.apply_rinv([2.0], 1), [2.0 / np.hypot(2.0, 1.0)])
+
+
+def test_q_columns_tracked_with_the_factor():
+    rng = np.random.default_rng(11)
+    qr = HessenbergQrWithQ(1.0)
+    for k in range(1, 9):
+        qr.append_column(rng.standard_normal(k + 1))
+        Q = qr.q_matrix()
+        assert np.array_equal(qr.q_new_col, Q[:, k - 1])
+        assert np.array_equal(qr.q_last, Q[:, -1])

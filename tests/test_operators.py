@@ -84,3 +84,21 @@ def test_linear_operator_output_checked_in_a_solve(method):
     short = rk.LinearOperator(4, lambda v: (A @ v)[:3])
     with pytest.raises(ValueError, match="length 3, expected 4"):
         rk.SOLVERS[method](short, b)
+    # A NaN from the 6th apply on fails the solve at that apply, before it
+    # can reach a solution under a success tag.
+    grid = rk.make_bvp_matrix(rk.BvpSpec(m=6))
+    gauss = np.random.default_rng(0).standard_normal(36)
+    for explicit in (True, False):
+        calls = []
+
+        def nan_from_6th(v):
+            calls.append(None)
+            out = grid @ v
+            if len(calls) >= 6:
+                out[0] = np.nan
+            return out
+
+        nan_op = rk.LinearOperator(36, nan_from_6th)
+        with pytest.raises(ValueError, match="output has non-finite entries"):
+            rk.SOLVERS[method](nan_op, gauss, record_explicit=explicit)
+        assert len(calls) == 6
