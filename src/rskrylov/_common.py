@@ -86,29 +86,23 @@ def explicit_norms(A, b, x):
     return r, norm(r), norm(ar)
 
 
-def maybe_lift(A, b, hist, x, x0, r_final, res_floor, termination, arn=None):
-    """Apply the rank-one lift when the run ended in the inconsistent
-    regime: finished, with a residual above the convergence floor that is
-    numerically in null(A), ``rho <= LIFT_RHO``.
+def maybe_lift(hist, x, x0, r, arn, res_floor, termination):
+    """The rank-one lift of ``x`` when the run ended in the inconsistent
+    regime: finished, with a residual ``r = b - A x`` above the convergence
+    floor that is numerically in null(A), ``rho <= LIFT_RHO``; else ``None``.
 
     A residual still partly in range(A) (a consistent run stopped by the
     A-residual rule just short of the residual floor) is not lifted: the
-    lift would move a correct iterate along it.  ``r_final`` (``b - A x``)
-    and ``arn`` (``|A r_final|``) are recomputed when the driver passes
-    ``None``, one matvec each.  ``hist`` supplies ``|r0|`` and ``|A r0|``.
+    lift would move a correct iterate along it.  ``arn`` is ``|A r|`` as
+    the cycle checked it (``nan``, never lifted, where it did not), and
+    ``hist`` supplies ``|r0|`` and ``|A r0|``: no operator is applied.
     """
-    if termination not in LIFT_TERMINATIONS:
+    rnorm = norm(r)
+    if termination not in LIFT_TERMINATIONS or rnorm <= res_floor:
         return None
-    if r_final is None:
-        r_final = b - A.apply(x)
-    rnorm = norm(r_final)
-    if rnorm <= res_floor or rnorm == 0.0:
-        return None
-    if arn is None:
-        arn = norm(A.apply(r_final))
     if not arn * hist.res[0] <= LIFT_RHO * rnorm * hist.ares[0]:
         return None
-    return lift(x, x0, r_final)
+    return lift(x, x0, r)
 
 
 def _trivial_report(method, A, x0, beta1, hist):

@@ -235,6 +235,8 @@ def _cmd_solve(args):
 
 def _cmd_compare(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("no methods given")
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise ValueError(f"unknown methods: {', '.join(unknown)}")

@@ -30,17 +30,17 @@ system: the best least squares iterate is returned as
 ``singular_final_system``, and all but RRGMRES and DGMRES apply the
 rank-one lift to it to recover the minimum-norm least squares solution.
 
-Every exit of both monitors goes through ``_Monitor._end``, which makes
-the explicit norms of the returned iterate the last history row: the
-closure step's row after a closure, otherwise the iterate's own row, with
-the rows checked after it dropped.
-
 Without explicit monitoring (``record_explicit=False``) GMRES and RRGMRES
 stop on a matvec-free estimate of the A-residual norm of the previous
 iterate, available one Arnoldi step late, and return a best iterate that
 has been checked explicitly whenever the estimates cannot be trusted
 (:class:`_EstimateMonitor`).  The other methods stop on the recurrence
 value of their minimized norm (:class:`_RecurrenceMonitor`).
+
+Every exit of every monitor goes through ``_Monitor._end``, which makes
+the explicit norms of the returned iterate the last history row (the
+closure step's row after a closure) and hands on its ``r`` and ``|A r|``:
+neither a restart nor the lift applies ``A`` again.
 """
 
 from __future__ import annotations
@@ -72,15 +72,15 @@ __all__ = ["gmres_solve", "rrgmres_solve", "dgmres_solve"]
 
 
 class _CycleResult(NamedTuple):
-    """Outcome of one cycle; ``arn`` is ``|A r|`` when the cycle has it."""
+    """Outcome of one cycle: ``x``, ``r = b - A x`` and ``arn = |A r|``."""
 
     x: np.ndarray
-    r: np.ndarray | None
+    r: np.ndarray
     termination: str
     stop_rule: str | None
     detected_ell: int | None
     iters: int
-    arn: float | None = None
+    arn: float
 
 
 class _Probe(NamedTuple):
@@ -105,10 +105,9 @@ class _Subproblem:
     iterate is returned).
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
-    by :meth:`start`; given the step budget of the cycle; may end the
-    cycle), :meth:`step` (one append;
-    returns the recurrence value of the minimized norm and sets
-    ``closed``), :meth:`iterate` and :meth:`closure`.
+    by :meth:`start`; given the step budget of the cycle), :meth:`step`
+    (one append; returns the recurrence value of the minimized norm and
+    sets ``closed``), :meth:`iterate` and :meth:`closure`.
     """
 
     hat = False
@@ -125,7 +124,8 @@ class _Subproblem:
 
     def seed(self, budget):
         """Start the Arnoldi run on ``r0`` or ``A r0``, then the method's
-        :meth:`start`; raises :class:`ZeroSeedError` on a vanishing seed.
+        :meth:`start`; raises :class:`ZeroSeedError` when the seed or
+        ``A r0`` vanishes.
 
         The basis is reserved for the ``budget`` steps of the cycle at
         once: ``budget + 1`` vectors, one more for a two-level method,
@@ -134,7 +134,7 @@ class _Subproblem:
         v = self.A.apply(self.r0) if self.hat else self.r0
         rows = min(budget + 2, self.A.n)
         self.state = arnoldi_init(self.A, v, self.opts.breakdown_tol, capacity=rows)
-        return self.start()
+        self.start()
 
     def anchor(self, beta_hat):
         """Take ``beta_hat = |A r0|``; the first cycle also records it in
@@ -248,10 +248,9 @@ class _TwoLevel(_Subproblem):
             self.anchor(s * norm(col1))
             ar0 = (s * col1[0], s * col1[1])
         if self.beta_hat <= self.opts.breakdown_tol:
-            return _CycleResult(self.x_in, self.r0, CONVERGED, "aresidual", None, 0)
+            raise ZeroSeedError("A r0 is numerically zero")
         self.inner = HessenbergQrWithQ(s)
         self.outer = BandedQr(ar0)
-        return None
 
     def step(self, k):
         state = self.state
@@ -323,7 +322,7 @@ class _Monitor:
         """End the cycle with iterate ``p``, whose explicit norms become
         the last history row: the row of the closure step ``ell`` (added
         with ``est``), otherwise ``p``'s own row, the rows after it
-        dropped.  Iterate 0 of a residual minimizer is checked here."""
+        dropped.  A probe with ``arn = inf`` is checked here first."""
         if p.arn == np.inf:
             p = _Probe(p.j, p.x, *explicit_norms(self.A, self.b, p.x))
         if ell is None:
@@ -393,15 +392,16 @@ class _Monitor:
 class _RecurrenceMonitor(_Monitor):
     """Estimate mode of the methods without an A-residual estimate: the
     recurrence value is the minimized norm, recorded in its column; the
-    run stops once it is at its floor.  ``best`` stays at ``x_in``, so a
-    singular closure returns the last iterate that can be rebuilt."""
+    run stops once it is at its floor.  A singular closure returns the
+    last iterate that can be rebuilt; ``_end`` checks what it returns."""
 
-    def _rebuilt(self, k):
-        """Iterate ``k``, or ``x_in`` behind a singular factor."""
+    def _rebuilt(self, j):
+        """Iterate ``j`` unchecked, or ``x_in`` behind a singular factor."""
         try:
-            return self.sub.iterate(k)
+            x = self.sub.iterate(j)
         except SingularTriangularError:
-            return self.sub.x_in.copy()
+            x = self.sub.x_in.copy()
+        return _Probe(j, x, None, np.inf, np.inf)
 
     def record(self, k, est):
         m = self.sub.minimized
@@ -410,15 +410,17 @@ class _RecurrenceMonitor(_Monitor):
         self.hist.append(*row, est, self.A.count)
         if est <= self.floors[("res", "ares")[m]]:
             rule = ("residual", "aresidual")[m]
-            return _CycleResult(self.sub.iterate(k), None, CONVERGED, rule, None, k)
+            return self._end(self._rebuilt(k), CONVERGED, rule, None)
         return None
 
     def singular(self, k, est):
-        x = self._rebuilt(k - 1)
-        return _CycleResult(x, None, SINGULAR_FINAL_SYSTEM, None, k, k - 1)
+        return self._end(self._rebuilt(k - 1), SINGULAR_FINAL_SYSTEM, None, k, est)
 
     def tail(self, budget):
-        return _CycleResult(self._rebuilt(budget), None, MAXIT, None, None, budget)
+        """``maxit`` with the last iterate, checking only its ``|r|``."""
+        p = self._rebuilt(budget)
+        r = self.b - self.A.apply(p.x)
+        return self._end(p._replace(r=r, rn=norm(r), arn=np.nan), MAXIT, None, None)
 
 
 class _EstimateMonitor(_RecurrenceMonitor):
@@ -532,18 +534,17 @@ class _EstimateMonitor(_RecurrenceMonitor):
 def _cycle(sub, budget):
     """One restart cycle of at most ``budget`` steps of any of the methods."""
     try:
-        done = sub.seed(budget)
+        sub.seed(budget)
     except ZeroSeedError:
         # The seed vanishes, so A r0 does: x_in already minimizes both
-        # norms over x_in + range(A).
+        # norms over x_in + range(A), and its row stays the last.
         sub.anchor(0.0)
-        rule = "aresidual" if sub.hat else "residual"
-        done = _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0)
+        sub.hist.mv[-1] = sub.A.count
+        rule = "residual" if sub.beta1 <= sub.opts.breakdown_tol else "aresidual"
+        return _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0, 0.0)
     if len(sub.hist.mv) == 1:
         # The first cycle: the initial row counts the seed's matvecs.
         sub.hist.mv[0] = sub.A.count
-    if done is not None:
-        return done
     if sub.opts.record_explicit:
         monitor = _Monitor(sub)
     elif hasattr(sub, "ares_estimate"):
@@ -582,12 +583,10 @@ def _solve(method, kind, A, b, x0, opts, options):
         x, r = result.x, result.r
         if result.termination != MAXIT or budget <= 0 or restart is None:
             break
-        if r is None:
-            r = b - A.apply(x)
     lifted = None
     if kind.lift:
         lifted = maybe_lift(
-            A, b, hist, x, x0, r, floors["res"], result.termination, result.arn
+            hist, x, x0, r, result.arn, floors["res"], result.termination
         )
     ending = (result.termination, result.stop_rule, result.detected_ell)
     return build_report(method, x, lifted, hist, A.count, *ending)

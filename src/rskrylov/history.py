@@ -50,9 +50,10 @@ def write_history_csv(records, path, explicit=True):
     """Write history records to a UTF-8 CSV file.
 
     The first line is a comment recording whether the residual columns
-    hold explicitly recomputed norms or recurrence estimates (one file
-    never mixes the two).  Numbers use the shortest round-trip decimal
-    representation.
+    hold explicitly recomputed norms or recurrence estimates (all records
+    of one file are of one kind; the last row of an estimated record
+    holds the explicit norms of its answer).  Numbers use the shortest
+    round-trip decimal representation.
     """
     records = list(records)
     for rec in records:

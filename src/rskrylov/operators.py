@@ -20,6 +20,7 @@ shared by concurrent solves.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,13 +149,13 @@ class SolveOptions:
         declared zero (happy breakdown).
     record_explicit : bool
         Recompute ``r_k = b - A x_k`` and ``A r_k`` every iteration and
-        record their true norms (two extra matvecs per iteration); the
-        last row then holds the norms of the returned ``solution``.  When
+        record their true norms (two extra matvecs per iteration).  When
         off, histories contain the recurrence estimates instead, with
-        ``nan`` where a method has no cheap estimate; the last row of a
-        GMRES or RRGMRES run that ends other than by ``maxit`` holds the
-        explicit norms of the returned iterate (only ``|r|`` after the
-        residual rule).
+        ``nan`` where a method has no cheap estimate.  Either way, for
+        all seven methods, the last row holds the explicit norms of the
+        returned ``solution``; without explicit monitoring its ``|A r|``
+        is ``nan`` after ``maxit`` and after the residual rule of GMRES
+        and RRGMRES, where only ``|r|`` is checked.
     """
 
     tol: float = 1e-10
@@ -164,14 +165,15 @@ class SolveOptions:
     record_explicit: bool = True
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.maxit is not None and self.maxit < 1:
-            raise ValueError("maxit must be at least 1")
-        if self.restart is not None and self.restart < 1:
-            raise ValueError("restart must be at least 1")
-        if not self.breakdown_tol > 0:
-            raise ValueError("breakdown_tol must be positive")
+        for name in ("tol", "breakdown_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("maxit", "restart"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -182,15 +184,15 @@ class SolveReport:
     ``||A r_k||`` with one entry per iteration plus the initial values.
     ``iterations`` counts the rows after the initial one: the steps up to
     the returned iterate, or up to the closure step when the Krylov space
-    closed (at a singular closure without explicit monitoring, the
-    methods other than GMRES and RRGMRES stop one step short of it).  The
-    last row belongs to ``solution`` (see ``SolveOptions.record_explicit``);
-    rows of iterates checked after it are dropped.  ``estimate_history``
-    holds the method's own per-iteration subproblem estimate (a
-    ``||r_k||`` estimate for GMRES/RRGMRES/MINRES, a ``||A r_k||``
-    estimate for DGMRES/RSMAR/MINARES).  ``matvec_history`` gives the
-    cumulative matvec count at each history row and ``matvec_count`` the
-    exact total.  ``detected_ell`` is the maximal Krylov dimension found
+    closed.  The last row belongs to ``solution`` (see
+    ``SolveOptions.record_explicit``); rows of iterates checked after it
+    are dropped.  ``estimate_history`` holds the method's own
+    per-iteration subproblem estimate (a ``||r_k||`` estimate for
+    GMRES/RRGMRES/MINRES, a ``||A r_k||`` estimate for
+    DGMRES/RSMAR/MINARES).  ``matvec_history`` gives the cumulative matvec
+    count at each history row; its last entry is ``matvec_count``, the
+    exact total, as no matvec is spent after the last row.
+    ``detected_ell`` is the maximal Krylov dimension found
     by the underlying orthogonalization process (for the seed the method
     uses), if the run reached it.
     """

@@ -173,12 +173,27 @@ def test_a_r0_zero_returns_x0_for_hat_methods():
     # b in null(A): A r0 = 0, so x0 = 0 already minimizes over range(A)
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     b = np.array([0.0, 1.0])
-    for method in ("rrgmres", "dgmres", "rsmar1", "minares"):
+    for method in ("rrgmres", "dgmres", "rsmar1", "rsmar2", "minares"):
         rep = rk.SOLVERS[method](A, b)
         assert_allclose(rep.solution, np.zeros(2))
         assert rep.termination == rk.CONVERGED
         assert rep.stop_rule == "aresidual"
         assert rep.matvec_history.tolist() == [1]  # the seed matvec
+        assert rep.matvec_count == 1
+
+
+def test_vanishing_seed_after_a_restart_spends_no_matvec_after_the_last_row():
+    # rsmar2's first cycle (one step) ends maxit at x = (1, 1), whose
+    # residual (0, 1) is in null(A); the second cycle's A r0 vanishes
+    A = np.diag([1.0, 0.0])
+    rep = rk.rsmar2_solve(
+        A, np.ones(2), restart=1, maxit=5, tol=1e-40, record_explicit=False
+    )
+    assert rep.termination == rk.CONVERGED
+    assert rep.stop_rule == "aresidual"
+    assert rep.iterations == 1
+    assert rep.matvec_count == rep.matvec_history[-1]
+    assert_allclose(rep.lifted_solution, [1.0, 0.0], atol=1e-14)
 
 
 def test_maxit_termination():
@@ -501,10 +516,8 @@ def ending_system(name):
     return A, rk.make_bvp_rhs(spec, "inconsistent_xy"), dict(tol=1e-9)
 
 
-@pytest.mark.parametrize(
-    "method, explicit",
-    [(method, True) for method in rk.SOLVERS] + [("gmres", False), ("rrgmres", False)],
-)
+@pytest.mark.parametrize("explicit", [True, False])
+@pytest.mark.parametrize("method", sorted(rk.SOLVERS))
 @pytest.mark.parametrize(
     "system", ["grid-m20-d10", "grid-m10-d0", "c07-s1", "c07-s3", "c07-s9"]
 )
@@ -513,18 +526,18 @@ def test_history_ends_at_the_returned_iterate(system, method, explicit):
     # before the last one; on c07 rsmar2 and estimate-mode gmres and
     # rrgmres end at a singular closure with an earlier iterate.  The last
     # row holds the explicit norms of the answer, and the closure step is
-    # the last iteration.
+    # the last iteration; no matvec is spent after the last row.
     A, b, options = ending_system(system)
     rep = rk.SOLVERS[method](A, b, record_explicit=explicit, **options)
     r = b - A @ rep.solution
     rn, arn = np.linalg.norm(r), np.linalg.norm(A @ r)
-    # estimate mode keeps estimates in the row of a maxit or residual stop
+    assert rep.residual_history[-1] == pytest.approx(rn, rel=1e-12, abs=0.0)
+    # estimate mode checks only |r| after a maxit or residual stop
     if explicit or (rep.termination != rk.MAXIT and rep.stop_rule != "residual"):
         assert rep.aresidual_history[-1] == pytest.approx(arn, rel=1e-12, abs=0.0)
-    if explicit or rep.termination != rk.MAXIT:
-        assert rep.residual_history[-1] == pytest.approx(rn, rel=1e-12, abs=0.0)
     if rep.detected_ell is not None:
         assert rep.iterations == rep.detected_ell
+    assert rep.matvec_count == rep.matvec_history[-1]
 
 
 LONG_METHODS = ("gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2")

@@ -523,17 +523,26 @@ def test_cli_solve_identity_converges_first_iteration(tmp_path, capsys):
     assert "iterations=1" in out
 
 
-@pytest.mark.parametrize("method, d", [("gmres", "10"), ("minres", "0")])
-def test_cli_solve_prints_the_norms_of_the_answer(tmp_path, capsys, method, d):
-    # Both runs return an iterate checked before the last one: gmres runs on
-    # past its attainable floor, minres polishes past the A-residual floor.
-    # The printed |Ar| and the history's last row must still be its own.
+@pytest.mark.parametrize(
+    "method, d, flags",
+    [
+        pytest.param("gmres", "10", [], id="gmres-10"),
+        pytest.param("minres", "0", [], id="minres-0"),
+        pytest.param("minares", "0", ["--estimates"], id="minares-0-estimates"),
+    ],
+)
+def test_cli_solve_prints_the_norms_of_the_answer(tmp_path, capsys, method, d, flags):
+    # The first two runs return an iterate checked before the last one:
+    # gmres runs on past its attainable floor, minres polishes past the
+    # A-residual floor.  minares without explicit monitoring stops on its
+    # recurrence value.  The printed |Ar| and the history's last row must
+    # still be the answer's own.
     mtx, out, csv_path = tmp_path / "a.mtx", tmp_path / "x.txt", tmp_path / "h.csv"
     assert cli_main(["generate", "bvp", "--m", "10", "--d", d, "--out", str(mtx)]) == 0
     rc = cli_main(
         [
             "solve", "--method", method, "--matrix", str(mtx), "--rhs-kind", "xy",
-            "--history", str(csv_path), "--out", str(out),
+            "--history", str(csv_path), "--out", str(out), *flags,
         ]
     )
     assert rc == 0
@@ -617,6 +626,11 @@ def test_cli_errors(tmp_path):
     mtx = tmp_path / "big.mtx"
     assert cli_main(["generate", "random-sym", "--n", "30", "--out", str(mtx)]) == 0
     assert cli_main(["check", "--matrix", str(mtx), "--max-n", "10"]) == 1
+    # a tolerance that stops nothing, and a comparison of no methods
+    assert cli_main(["solve", "--method", "gmres", "--matrix", str(mtx), "--rhs", "ones", "--tol", "inf"]) == 1
+    out = tmp_path / "c.csv"
+    assert cli_main(["compare", "--methods", ",", "--matrix", str(mtx), "--rhs", "ones", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cli_solve_with_x0_and_lifted_output(tmp_path):

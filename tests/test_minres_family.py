@@ -39,11 +39,12 @@ def test_minres_singular_2x2():
 
 def test_minres_estimate_mode_singular_closure_lifts():
     # the rotated factor turns singular at step 2; the returned iterate 1
-    # is the one the lift maps to A^+ b, not the start x0 = 0
+    # is the one the lift maps to A^+ b, not the start x0 = 0, and the
+    # closure step is the last iteration
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     rep = rk.minres_solve(A, np.array([1.0, 1.0]), record_explicit=False)
     assert rep.termination == rk.SINGULAR_FINAL_SYSTEM
-    assert rep.iterations == 1
+    assert rep.iterations == rep.detected_ell == 2
     assert_allclose(rep.solution, [1.0, 1.0], atol=1e-14)
     assert_allclose(rep.lifted_solution, [1.0, 0.0], atol=1e-14)
 

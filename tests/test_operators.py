@@ -47,8 +47,18 @@ def test_solve_options_validation():
         rk.SolveOptions(maxit=0)
     with pytest.raises(ValueError):
         rk.SolveOptions(restart=0)
+    for name in ("tol", "breakdown_tol"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=name):
+                rk.SolveOptions(**{name: value})
+    for name in ("maxit", "restart"):
+        for value in (10.5, np.float64(10)):
+            with pytest.raises(ValueError, match=name):
+                rk.SolveOptions(**{name: value})
     opts = rk.SolveOptions(tol=1e-8, maxit=10, restart=5)
     assert opts.tol == 1e-8
+    opts = rk.SolveOptions(maxit=np.int64(10), restart=np.int32(5))
+    assert np.allclose(rk.gmres_solve(np.eye(2), np.ones(2), opts=opts).solution, 1.0)
 
 
 def test_report_iterations_property():
