@@ -32,7 +32,11 @@ its coefficients ``p``, and a step
   ``V`` again, from ``A (u - V c) = A u - V_{k+2} H c``.
 
 The pass runs over blocks of ``V``, each read once from memory and once
-from cache.  Where such a block would hold fewer than 8 basis vectors
+from cache.  A caller can hand a step the coefficients ``z`` of a vector
+``V_j z`` in the basis (``ride``): a delayed step adds ``z`` as one more
+row of each block's update product, so explicit monitoring forms its
+iterate without a read of ``V`` of its own, and the step's own results
+do not change.  Where such a block would hold fewer than 8 basis vectors
 (``n`` above ``BASIS_BYTES / 128``) the run stays with CGS2 at every
 step.  The switch costs one extra product with ``A`` per run: the first
 delayed step applies ``A`` to both ``v_k`` and ``u``.
@@ -217,7 +221,7 @@ def _block_rows(k, n):
     return rows
 
 
-def arnoldi_step(state, A):
+def arnoldi_step(state, A, *, ride=None):
     """Advance one Arnoldi step; returns ``"advanced"`` or ``"breakdown"``.
 
     On a normal step the state gains one basis vector and one Hessenberg
@@ -225,6 +229,11 @@ def arnoldi_step(state, A):
     still appended so that ``A V_l = V_l H_l`` holds, but no basis vector
     is added and the state refuses further steps.  The step that would
     add basis vector ``n + 1`` is a breakdown.
+
+    ``ride = (z, x)`` also adds ``V_j z`` to ``x`` in place, ``V_j`` the
+    first ``j = len(z) <= k + 1`` basis vectors.  A delayed step with a
+    look-ahead sums it in its pass over the basis, any other step by one
+    product; the step itself is the same with or without it.
     """
     if state.broke_down:
         raise RuntimeError("cannot step an Arnoldi process past its breakdown")
@@ -253,10 +262,14 @@ def arnoldi_step(state, A):
         else:
             uz = np.stack((w, A.apply(w)))
             uz_dot = uz[0] @ uz[1]
-            c, d = _project(Vk, uz, rows)
+            c, d = _project(Vk, uz, rows, ride)
+            ride = None
             w = uz[0]
             ahead = (c, d, uz_dot, uz[1])
         h = p + c
+    if ride is not None:
+        z, x = ride
+        x += z @ Vk[: len(z)]
     hnext = norm(w)
     state._H[: k + 1, k] = h
     state._H[k + 1, k] = hnext
@@ -273,20 +286,34 @@ def arnoldi_step(state, A):
     return "advanced"
 
 
-def _project(Vk, X, rows):
+def _project(Vk, X, rows, ride=None):
     """One classical Gram-Schmidt pass of the rows of ``X`` against the
     rows of ``Vk``, in place; returns the coefficients ``X Vk^T`` (one row
     per row of ``X``).
 
     ``Vk`` is taken ``rows`` rows at a time: each block is read from
     memory for its coefficients and again from cache for the update.
+    With ``ride = (z, x)`` the coefficients ``z`` (zero past their end)
+    are one more row of each block's update product, whose last row is
+    added to ``x``: ``x += z Vk`` at no extra read of ``Vk``.
     """
     X0 = X.copy()
-    C = np.empty((len(X), len(Vk)))
+    m = len(X)
+    C = np.empty((m + (ride is not None), len(Vk)))
+    U = np.empty((len(C), X.shape[1]))  # the update product of a block
+    if ride is not None:
+        z, x = ride
+        C[m, : len(z)] = z
+        C[m, len(z) :] = 0.0
+    head, update = C[:m], U[:m]
     for s in range(0, len(Vk), rows):
         block = Vk[s : s + rows]
-        X -= np.matmul(X0, block.T, out=C[:, s : s + rows]) @ block
-    return C
+        np.matmul(X0, block.T, out=head[:, s : s + rows])
+        np.matmul(C[:, s : s + rows], block, out=U)
+        X -= update
+        if ride is not None:
+            x += U[m]
+    return head
 
 
 def _look_ahead(state, hnext, c, d, uz_dot, z):

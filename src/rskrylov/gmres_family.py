@@ -37,6 +37,13 @@ has been checked explicitly whenever the estimates cannot be trusted
 (:class:`_EstimateMonitor`).  The other methods stop on the recurrence
 value of their minimized norm (:class:`_RecurrenceMonitor`).
 
+When the next Arnoldi step is a delayed one (:mod:`rskrylov.arnoldi`),
+the explicit monitor hands it the coefficients of iterate ``k``: its
+pass over the basis sums ``x_k`` on the way, and the monitor checks
+``x_k`` with the same rules at step ``k + 1``, before that step's closure
+check.  A run that stops there has spent step ``k + 1``'s product with
+``A``, which the row of ``x_k`` counts.
+
 Every exit of every monitor goes through ``_Monitor._end``, which makes
 the explicit norms of the returned iterate the last history row (the
 closure step's row after a closure) and hands on its ``r`` and ``|A r|``:
@@ -59,7 +66,7 @@ from ._common import (
     norm,
     prepare,
 )
-from .arnoldi import ZeroSeedError, arnoldi_init, arnoldi_step
+from .arnoldi import ZeroSeedError, _block_rows, arnoldi_init, arnoldi_step
 from .hessenberg_qr import (
     BandedQr,
     HessenbergQr,
@@ -85,7 +92,10 @@ class _CycleResult(NamedTuple):
 
 class _Probe(NamedTuple):
     """Iterate ``j`` checked explicitly, the monitors' only record of an
-    iterate; the best of estimate mode holds estimates and no ``x``."""
+    iterate; the best of estimate mode holds estimates and no ``x``.
+    The explicit monitor stores plain tuples of these fields, in this
+    order, for the iterates it checks: a ``_Probe`` per step costs about
+    0.4 us, a few percent of a step of a small system."""
 
     j: int
     x: np.ndarray | None
@@ -106,8 +116,9 @@ class _Subproblem:
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
     by :meth:`start`; given the step budget of the cycle), :meth:`step`
-    (one append; returns the recurrence value of the minimized norm and
-    sets ``closed``), :meth:`iterate` and :meth:`closure`.
+    (one append, whose Arnoldi step takes ``ride``; returns the recurrence
+    value of the minimized norm and sets ``closed``), :meth:`coefficients`
+    (or :meth:`iterate`) and :meth:`closure`.
     """
 
     hat = False
@@ -115,6 +126,9 @@ class _Subproblem:
     lift = True
     restarts = True
     polish = 0
+    # (z, x): the coefficients of an iterate whose sum ``x += V z`` the
+    # next Arnoldi step completes (see :meth:`_Monitor.record`)
+    ride = None
 
     def __init__(self, A, b, x_in, r0, opts, floors, hist):
         self.A, self.b, self.x_in, self.r0 = A, b, x_in, r0
@@ -148,9 +162,26 @@ class _Subproblem:
         if self.floors["ares"] is None:
             self.floors["ares"] = self.opts.tol * beta_hat
 
+    def coefficients(self, k):
+        """``(base, z)`` with iterate ``k`` equal to ``base + V z``, ``V``
+        the first ``len(z)`` basis vectors: ``x_in`` and ``R^{-1} t``."""
+        return self.x_in, self.qr.solve(k)
+
     def iterate(self, k):
-        """Iterate ``k``: ``x_in + V_k R^{-1} t``."""
-        return self.x_in + self.state.basis(k) @ self.qr.solve(k)
+        """Iterate ``k`` from its :meth:`coefficients`."""
+        base, z = self.coefficients(k)
+        return base + self.state.basis(len(z)) @ z
+
+    def delays(self, budget):
+        """Whether a cycle of ``budget`` steps reaches the delayed Arnoldi
+        steps (see :mod:`rskrylov.arnoldi`), whose pass over the basis can
+        sum an iterate on its way: whether its last step is delayed."""
+        return _block_rows(budget, self.A.n) > 0
+
+    def delayed_next(self):
+        """Whether the next step runs a delayed Arnoldi pass."""
+        state = self.state
+        return not state.broke_down and _block_rows(state.k, state.n) > 0
 
     def closure(self, k):
         """The exact solve of the square system at subspace closure."""
@@ -166,7 +197,7 @@ class _Gmres(_Subproblem):
         self.qr = (HessenbergQr if explicit else HessenbergQrWithQ)(self.beta1)
 
     def step(self, k):
-        self.closed = arnoldi_step(self.state, self.A) == "breakdown"
+        self.closed = arnoldi_step(self.state, self.A, ride=self.ride) == "breakdown"
         col = self.state.column(k - 1)
         if not self.opts.record_explicit:
             self.t_prev, self.q_prev = self.qr.t[-1], self.qr.q_last
@@ -203,7 +234,7 @@ class _Rrgmres(_Subproblem):
         self.p = self.r0 - g0 * v
 
     def step(self, k):
-        self.closed = arnoldi_step(self.state, self.A) == "breakdown"
+        self.closed = arnoldi_step(self.state, self.A, ride=self.ride) == "breakdown"
         gk = 0.0
         if not self.closed:
             v = self.state.vector(k)
@@ -255,7 +286,7 @@ class _TwoLevel(_Subproblem):
     def step(self, k):
         state = self.state
         if not state.broke_down:
-            arnoldi_step(state, self.A)
+            arnoldi_step(state, self.A, ride=self.ride)
         self.inner.append_column(state.column(k - 1), 0.0)
         # Step k equals the dimension of the closed space: no outer column.
         self.closed = state.k < k + 1
@@ -264,9 +295,8 @@ class _TwoLevel(_Subproblem):
         htcol = state.hessenberg(k + 1) @ self.inner.q_new_col
         return self.outer.append_column(htcol)
 
-    def iterate(self, k):
-        z = self.inner.apply_rinv(self.outer.solve(k), k)
-        return self.x_in + self.state.basis(k) @ z
+    def coefficients(self, k):
+        return self.x_in, self.inner.apply_rinv(self.outer.solve(k), k)
 
     def closure(self, k):
         # The square Hessenberg is nonsingular on index-1 systems; dgmres
@@ -292,11 +322,21 @@ class _Monitor:
     subproblem degenerates), the last iterate recorded (``last``), the
     growth guard, the closure guard, the polish past the A-residual floor
     and the ``maxit`` tail.  Every exit goes through :meth:`_end`.
+
+    When step ``k + 1`` runs a delayed Arnoldi pass, :meth:`record`
+    leaves the sum ``V z`` of iterate ``k`` to that pass and
+    :meth:`advance` checks the iterate, with the same rules, before
+    anything of step ``k + 1``: the pass reads the basis once for both,
+    and a check that ends the cycle there has spent that step's product
+    with ``A``.
     """
 
-    def __init__(self, sub):
+    def __init__(self, sub, budget):
         self.sub, self.A, self.b = sub, sub.A, sub.b
         self.hist, self.floors = sub.hist, sub.floors
+        # record(k) for k below this may leave its sum to a delayed pass
+        self.defer_below = budget if sub.delays(budget) else 0
+        self.deferred = None  # (k, est, x) of the iterate the pass sums
         self.row0 = len(self.hist.res) - 1  # history row of iterate 0
         arn = sub.beta_hat if sub.minimized else np.inf
         self.best = self.last = _Probe(0, sub.x_in, sub.r0, sub.beta1, arn)
@@ -309,8 +349,13 @@ class _Monitor:
         self.polish_left = sub.polish
 
     def advance(self, k):
-        """Rules that run before the closure check (none here)."""
-        return None
+        """Rules that run before the closure check: the check of iterate
+        ``k - 1``, if step ``k`` summed it."""
+        if self.deferred is None:
+            return None
+        j, est, x = self.deferred
+        self.deferred = self.sub.ride = None
+        return self._check(j, est, x)
 
     def _rose(self, rn, arn, factor):
         """Whether the minimized one of ``rn`` and ``arn`` is above
@@ -323,30 +368,47 @@ class _Monitor:
         the last history row: the row of the closure step ``ell`` (added
         with ``est``), otherwise ``p``'s own row, the rows after it
         dropped.  A probe with ``arn = inf`` is checked here first."""
-        if p.arn == np.inf:
-            p = _Probe(p.j, p.x, *explicit_norms(self.A, self.b, p.x))
-        if ell is None:
-            self.hist.end_at(self.row0 + p.j, p.rn, p.arn, self.A.count)
-        else:
-            self.hist.append(p.rn, p.arn, est, self.A.count)
-        iters = p.j if ell is None else ell
-        return _CycleResult(p.x, p.r, termination, stop_rule, ell, iters, p.arn)
+        j, x, r, rn, arn = p
+        if arn == np.inf:
+            r, rn, arn = explicit_norms(self.A, self.b, x)
+        hist, count = self.hist, self.A.count
+        if ell is not None:
+            hist.append(rn, arn, est, count)
+        elif (len(hist.mv) - 1, hist.res[-1], hist.ares[-1], hist.mv[-1]) != (
+            self.row0 + j, rn, arn, count
+        ):  # unless the last row already is that row
+            hist.end_at(self.row0 + j, rn, arn, count)
+        iters = j if ell is None else ell
+        return _CycleResult(x, r, termination, stop_rule, ell, iters, arn)
 
     def record(self, k, est):
-        """Check iterate ``k`` explicitly, add its row, apply the rules."""
-        hist, floors = self.hist, self.floors
+        """Check iterate ``k``, or hand its coefficients to the next
+        step's delayed Arnoldi pass and check it in :meth:`advance`."""
+        sub = self.sub
         try:
-            x = self.sub.iterate(k)
+            if k < self.defer_below and sub.delayed_next():
+                base, z = sub.coefficients(k)
+                x = base.copy()
+                sub.ride = (z, x)
+                self.deferred = (k, est, x)
+                return None
+            x = sub.iterate(k)
         except SingularTriangularError:
             return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, None)
+        return self._check(k, est, x)
+
+    def _check(self, k, est, x):
+        """Check iterate ``k`` explicitly, add its row, apply the rules."""
+        hist, floors = self.hist, self.floors
         r, rn, arn = explicit_norms(self.A, self.b, x)
         if self._rose(rn, arn, 2.0):
             # A clear increase of the minimized norm contradicts the
             # minimization: the subproblem has degenerated numerically.
             return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, None)
         hist.append(rn, arn, est, self.A.count)
-        self.last = p = _Probe(k, x, r, rn, arn)
-        if arn < self.best.arn:
+        self.last = p = (k, x, r, rn, arn)
+        best_arn = self.best[-1]
+        if arn < best_arn:
             self.best = p
         if rn <= floors["res"]:
             return self._end(p, CONVERGED, "residual", None)
@@ -354,7 +416,7 @@ class _Monitor:
             # Past the floor a polishing method runs on (the first hit
             # counts) while |A r| keeps improving, then returns the best;
             # at the first hit the best is this iterate.
-            if self.polish_left <= 0 or arn > self.best.arn:
+            if self.polish_left <= 0 or arn > best_arn:
                 return self._end(self.best, CONVERGED, "aresidual", None)
             self.polish_left -= 1
         return None
@@ -370,7 +432,7 @@ class _Monitor:
             # An A-residual above the best seen proves it too, whichever
             # way rounding moved the residual norm.
             singular = self._rose(p.rn, p.arn, 1.0 + 1e-6) or (
-                p.arn > self.best.arn * (1.0 + 1e-6) + 1e-12 * self.hist.ares[0]
+                p.arn > self.best[-1] * (1.0 + 1e-6) + 1e-12 * self.hist.ares[0]
             )
         except SingularTriangularError:
             singular = True
@@ -449,8 +511,8 @@ class _EstimateMonitor(_RecurrenceMonitor):
     closure end the cycle through :meth:`fallback`.
     """
 
-    def __init__(self, sub):
-        super().__init__(sub)
+    def __init__(self, sub, budget):
+        super().__init__(sub, budget)
         self.ares = []  # A-residual estimate of each iterate
         self.residual_rule = True
 
@@ -537,20 +599,24 @@ def _cycle(sub, budget):
         sub.seed(budget)
     except ZeroSeedError:
         # The seed vanishes, so A r0 does: x_in already minimizes both
-        # norms over x_in + range(A), and its row stays the last.
+        # norms over x_in + range(A), and its row stays the last, with the
+        # |A r| a check of x_in measured, else 0.
         sub.anchor(0.0)
-        sub.hist.mv[-1] = sub.A.count
+        hist = sub.hist
+        hist.mv[-1] = sub.A.count
+        if np.isnan(hist.ares[-1]):  # a restart after an estimate-mode tail
+            hist.ares[-1] = 0.0
         rule = "residual" if sub.beta1 <= sub.opts.breakdown_tol else "aresidual"
-        return _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0, 0.0)
+        return _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0, hist.ares[-1])
     if len(sub.hist.mv) == 1:
         # The first cycle: the initial row counts the seed's matvecs.
         sub.hist.mv[0] = sub.A.count
     if sub.opts.record_explicit:
-        monitor = _Monitor(sub)
+        monitor = _Monitor(sub, budget)
     elif hasattr(sub, "ares_estimate"):
-        monitor = _EstimateMonitor(sub)
+        monitor = _EstimateMonitor(sub, budget)
     else:
-        monitor = _RecurrenceMonitor(sub)
+        monitor = _RecurrenceMonitor(sub, budget)
     for k in range(1, budget + 1):
         est = sub.step(k)
         done = monitor.advance(k)

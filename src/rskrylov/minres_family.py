@@ -51,6 +51,9 @@ class _ShortRecurrence(_Subproblem):
         other."""
         return self.x
 
+    def delays(self, budget):
+        return False  # no basis to sum an iterate over
+
     def closure(self, k):
         if self.singular:
             raise SingularTriangularError("rotated tridiagonal factor is singular")

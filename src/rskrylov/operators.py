@@ -155,7 +155,10 @@ class SolveOptions:
         all seven methods, the last row holds the explicit norms of the
         returned ``solution``; without explicit monitoring its ``|A r|``
         is ``nan`` after ``maxit`` and after the residual rule of GMRES
-        and RRGMRES, where only ``|r|`` is checked.
+        and RRGMRES, where only ``|r|`` is checked.  Once a long-recurrence
+        cycle runs delayed Arnoldi steps, the check of iterate ``k`` is
+        made after step ``k + 1``, whose pass over the basis forms the
+        iterate; a run it stops has taken that step's matvec.
     """
 
     tol: float = 1e-10
@@ -191,7 +194,9 @@ class SolveReport:
     GMRES/RRGMRES/MINRES, a ``||A r_k||`` estimate for
     DGMRES/RSMAR/MINARES).  ``matvec_history`` gives the cumulative matvec
     count at each history row; its last entry is ``matvec_count``, the
-    exact total, as no matvec is spent after the last row.
+    exact total, as no matvec is spent after the last row.  A row whose
+    explicit check waited for the next, delayed Arnoldi step counts that
+    step's matvec too.
     ``detected_ell`` is the maximal Krylov dimension found
     by the underlying orthogonalization process (for the seed the method
     uses), if the run reached it.

@@ -55,21 +55,18 @@ class _Rsmar1(_Subproblem):
         self.change.push([self.beta_hat])
 
     def step(self, k):
-        self.closed = arnoldi_step(self.state, self.A) == "breakdown"
+        self.closed = arnoldi_step(self.state, self.A, ride=self.ride) == "breakdown"
         col = self.state.column(k - 1)
         self.change.push(col)
         return self.qr.append_column(col, 0.0)
 
-    def iterate(self, k):
+    def coefficients(self, k):
         """Solve the projected subproblem for ``zhat``, then
-        ``[bhat1 e1, Hhat_{k,k-1}] y = zhat``, and return
-        ``x_in + [r0, Vhat_{k-1}] y``."""
+        ``[bhat1 e1, Hhat_{k,k-1}] y = zhat``: iterate ``k`` is
+        ``x_in + [r0, Vhat_{k-1}] y``, ``base = x_in + y_0 r0``."""
         zhat = self.qr.solve(k)
         y = solve_upper(self.change.view(k, k), zhat)
-        x = self.x_in + y[0] * self.r0
-        if k > 1:
-            x = x + self.state.basis(k - 1) @ y[1:]
-        return x
+        return self.x_in + y[0] * self.r0, y[1:]
 
 
 def rsmar1_solve(A, b, x0=None, opts=None, **options):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -296,6 +298,28 @@ def test_delayed_cycle_applies_the_operator_once_more(steps, matvecs):
     for _ in range(steps):
         assert arnoldi_step(state, A) == "advanced"
     assert A.count == matvecs
+
+
+def test_ride_along_sums_the_iterate_and_leaves_the_step_as_it_was():
+    # n = 2500: CGS2 steps up to k = 64, then delayed steps, the first with
+    # two passes.  A ride of k or k + 1 coefficients comes back as V_j z;
+    # the step's column, new vector and look-ahead are those of the same
+    # step without it, bit for bit.
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=50, d=10.0))
+    v = np.random.default_rng(2).standard_normal(A.shape[0])
+    state = run_arnoldi(A, v, steps=60, capacity=80)
+    rng = np.random.default_rng(3)
+    for k in range(60, 75):
+        z = rng.standard_normal(k + k % 2)
+        x = np.zeros(A.shape[0])
+        twin = copy.deepcopy(state)
+        assert arnoldi_step(twin, A, ride=(z, x)) == arnoldi_step(state, A) == "advanced"
+        want = state.basis(len(z)) @ z
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        assert twin.column(k).tobytes() == state.column(k).tobytes()
+        assert twin.vector(k + 1).tobytes() == state.vector(k + 1).tobytes()
+        ahead = [[a.tobytes() for a in s._ahead] for s in (twin, state) if s._ahead]
+        assert len(ahead) == 2 * (k >= 65) and ahead[:1] == ahead[1:]
 
 
 def _diagonal_with_zero():

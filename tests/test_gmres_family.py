@@ -196,6 +196,18 @@ def test_vanishing_seed_after_a_restart_spends_no_matvec_after_the_last_row():
     assert_allclose(rep.lifted_solution, [1.0, 0.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("method", ["gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2"])
+def test_vanishing_seed_after_a_restart_writes_its_aresidual_in_the_last_row(method):
+    # rsmar2's second cycle starts at an x whose residual (0, 1) is in
+    # null(A): the seed exit's |A r| = 0 replaces the nan that the
+    # estimate-mode maxit tail of the first cycle left in the row.
+    A = np.diag([1.0, 0.0])
+    rep = rk.SOLVERS[method](A, np.ones(2), restart=1, tol=1e-40, record_explicit=False)
+    r = np.ones(2) - A @ rep.solution
+    assert rep.aresidual_history[-1] == np.linalg.norm(A @ r) == 0.0
+    assert rep.matvec_count == rep.matvec_history[-1]
+
+
 def test_maxit_termination():
     A, Ap, b_cons, _ = make_inconsistent(0)
     rep = rk.gmres_solve(A, b_cons, tol=1e-12, maxit=3)
@@ -505,11 +517,26 @@ def test_estimate_mode_returns_best_iterate_on_criterion07(method, seed):
         assert ares <= 1e-6
 
 
+def grid_m50(rhs):
+    """A grid system of the ``grid-explicit`` benchmark, with its options:
+    explicit checks from step 65 on are summed by the delayed Arnoldi pass
+    of the next step."""
+    spec = rk.BvpSpec(m=50, d=10.0)
+    A = rk.make_bvp_matrix(spec)
+    if rhs == "consistent":
+        b, tol = rk.make_bvp_rhs(spec, "consistent_random", 0, A), 1e-12
+    else:
+        b, tol = rk.make_bvp_rhs(spec, "inconsistent_xy"), 1e-8
+    return A, b, dict(tol=tol, maxit=400)
+
+
 def ending_system(name):
     """The systems of the history-ending test, with their options."""
     if name.startswith("c07"):
         A, _, b = make_criterion07_instance(int(name[-1]))
         return A, b, dict(tol=1e-13, maxit=4 * A.shape[0])
+    if name.startswith("grid-m50"):
+        return grid_m50(name.split("-")[-1])
     m, d = {"grid-m20-d10": (20, 10.0), "grid-m10-d0": (10, 0.0)}[name]
     spec = rk.BvpSpec(m=m, d=d)
     A = rk.make_bvp_matrix(spec)
@@ -519,14 +546,25 @@ def ending_system(name):
 @pytest.mark.parametrize("explicit", [True, False])
 @pytest.mark.parametrize("method", sorted(rk.SOLVERS))
 @pytest.mark.parametrize(
-    "system", ["grid-m20-d10", "grid-m10-d0", "c07-s1", "c07-s3", "c07-s9"]
+    "system",
+    [
+        "grid-m20-d10",
+        "grid-m10-d0",
+        "c07-s1",
+        "c07-s3",
+        "c07-s9",
+        "grid-m50-consistent",
+        "grid-m50-inconsistent",
+    ],
 )
 def test_history_ends_at_the_returned_iterate(system, method, explicit):
     # On the grids explicit gmres and minres return an iterate checked
     # before the last one; on c07 rsmar2 and estimate-mode gmres and
-    # rrgmres end at a singular closure with an earlier iterate.  The last
-    # row holds the explicit norms of the answer, and the closure step is
-    # the last iteration; no matvec is spent after the last row.
+    # rrgmres end at a singular closure with an earlier iterate; on the
+    # m=50 grid the explicit check of the long methods is deferred to the
+    # next Arnoldi step.  The last row holds the explicit norms of the
+    # answer, and the closure step is the last iteration; no matvec is
+    # spent after the last row.
     A, b, options = ending_system(system)
     rep = rk.SOLVERS[method](A, b, record_explicit=explicit, **options)
     r = b - A @ rep.solution
@@ -542,6 +580,40 @@ def test_history_ends_at_the_returned_iterate(system, method, explicit):
 
 LONG_METHODS = ("gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2")
 MODES = [pytest.param(True, id="explicit"), pytest.param(False, id="estimate")]
+
+# The ten grid-explicit benchmark solves: iterations, termination, stop
+# rule and whether the answer is lifted.
+GRID_M50_EXPLICIT = {
+    "consistent": {
+        "gmres": (237, "converged", "aresidual", False),
+        "rrgmres": (261, "converged", "aresidual", False),
+        "dgmres": (253, "converged", "aresidual", False),
+        "rsmar1": (230, "converged", "aresidual", False),
+        "rsmar2": (229, "converged", "aresidual", False),
+    },
+    "inconsistent": {
+        "gmres": (101, "singular_final_system", None, True),
+        "rrgmres": (107, "converged", "aresidual", False),
+        "dgmres": (107, "converged", "aresidual", False),
+        "rsmar1": (102, "converged", "aresidual", True),
+        "rsmar2": (102, "converged", "aresidual", True),
+    },
+}
+
+
+@pytest.mark.parametrize("method", LONG_METHODS)
+@pytest.mark.parametrize("rhs", ["consistent", "inconsistent"])
+def test_grid_m50_explicit_runs_are_pinned(rhs, method):
+    # Every check from step 65 on is summed by the next step's delayed
+    # Arnoldi pass; the rules and the decisions are those of a check made
+    # at once.
+    A, b, options = grid_m50(rhs)
+    rep = rk.SOLVERS[method](A, b, **options)
+    lifted = rep.lifted_solution is not None
+    got = (rep.iterations, rep.termination, rep.stop_rule, lifted)
+    assert got == GRID_M50_EXPLICIT[rhs][method]
+    assert rep.detected_ell is None
+    assert rep.matvec_count == rep.matvec_history[-1]
 
 
 def grid_system(m=10):

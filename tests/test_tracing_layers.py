@@ -61,3 +61,28 @@ def test_traced_short_recurrences_count_explicit_norms(method):
     assert rep.iterations >= 5
     assert tracer.stats["common.explicit_norms"][0] >= rep.iterations
     assert tracing.left_wrapped(tracer) == []
+
+
+@pytest.mark.parametrize("method", ["gmres", "rsmar2"])
+def test_traced_layers_count_every_delayed_step(monkeypatch, method):
+    # n = 2500: from step 65 on each explicit check is summed by the next
+    # step's delayed Arnoldi pass, which the traced arnoldi_step runs.
+    states = []
+    init = rk.ArnoldiState.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        states.append(self)
+
+    monkeypatch.setattr(rk.ArnoldiState, "__init__", keep)
+    spec = rk.BvpSpec(m=50, d=10.0)
+    A = rk.make_bvp_matrix(spec)
+    b = rk.make_bvp_rhs(spec, "consistent_random", 0, A)
+    tracer = tracing.Tracer(rk)
+    with tracer:
+        rep = rk.SOLVERS[method](A, b, tol=1e-12, maxit=400)
+    stats = tracer.stats
+    assert rep.iterations > 65 and len(states) == 1
+    assert stats["arnoldi.step"][0] == states[0].k
+    assert stats["common.explicit_norms"][0] >= rep.iterations
+    assert tracing.left_wrapped(tracer) == []
