@@ -219,9 +219,7 @@ def _cmd_solve(args):
     if report.lifted_solution is not None:
         print("  lifted solution available (inconsistent termination)")
     if args.history:
-        rec = HistoryRecord.from_report(
-            report, wall_time=elapsed, explicit=opts.record_explicit
-        )
+        rec = HistoryRecord.from_report(report, explicit=opts.record_explicit)
         write_history_csv([rec], args.history, explicit=opts.record_explicit)
         print(f"  history written to {args.history}")
     if args.out:
@@ -246,11 +244,7 @@ def _cmd_compare(args):
         t0 = time.perf_counter()
         report = SOLVERS[method](A, b, x0=x0, opts=opts)
         elapsed = time.perf_counter() - t0
-        records.append(
-            HistoryRecord.from_report(
-                report, wall_time=elapsed, explicit=opts.record_explicit
-            )
-        )
+        records.append(HistoryRecord.from_report(report, explicit=opts.record_explicit))
         ares = report.aresidual_history
         print(
             f"{method}: iterations={report.iterations} termination={report.termination} "

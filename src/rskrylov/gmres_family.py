@@ -30,12 +30,13 @@ system: the best least squares iterate is returned as
 ``singular_final_system``, and all but RRGMRES and DGMRES apply the
 rank-one lift to it to recover the minimum-norm least squares solution.
 
-Without explicit monitoring (``record_explicit=False``) GMRES and RRGMRES
-stop on a matvec-free estimate of the A-residual norm of the previous
-iterate, available one Arnoldi step late, and return a best iterate that
-has been checked explicitly whenever the estimates cannot be trusted
-(:class:`_EstimateMonitor`).  The other methods stop on the recurrence
-value of their minimized norm (:class:`_RecurrenceMonitor`).
+Without explicit monitoring (``record_explicit=False``) every method
+stops on a matvec-free estimate of the A-residual norm, confirmed by one
+explicit check, and returns a best iterate that has been checked
+explicitly whenever the estimates cannot be trusted
+(:class:`_EstimateMonitor`).  The estimate is the recurrence value of
+DGMRES, the RSMAR variants and MINARES; GMRES, RRGMRES and MINRES get it
+for the previous iterate, one step late.
 
 When the next Arnoldi step is a delayed one (:mod:`rskrylov.arnoldi`),
 the explicit monitor hands it the coefficients of iterate ``k``: its
@@ -91,11 +92,10 @@ class _CycleResult(NamedTuple):
 
 
 class _Probe(NamedTuple):
-    """Iterate ``j`` checked explicitly, the monitors' only record of an
-    iterate; the best of estimate mode holds estimates and no ``x``.
-    The explicit monitor stores plain tuples of these fields, in this
-    order, for the iterates it checks: a ``_Probe`` per step costs about
-    0.4 us, a few percent of a step of a small system."""
+    """Iterate ``j`` checked explicitly; the best of estimate mode holds
+    estimates, and an ``x`` only from a short recurrence.  The explicit
+    monitor stores plain tuples of these fields, in this order: a
+    ``_Probe`` per step costs about 0.4 us, a few percent of a small step."""
 
     j: int
     x: np.ndarray | None
@@ -110,21 +110,24 @@ class _Subproblem:
     Class attributes hold what follows from the method: ``hat`` (the
     Arnoldi seed is ``A r0``, not ``r0``), ``minimized`` (index of the
     minimized norm in ``(|r|, |A r|)``), ``lift`` (the final iterate may
-    need the rank-one lift), ``restarts`` (``opts.restart`` applies) and
-    ``polish`` (steps run on past the A-residual floor before the best
-    iterate is returned).
+    need the rank-one lift), ``keeps_basis`` (a Krylov basis is kept:
+    ``opts.restart`` applies, :meth:`iterate` rebuilds any iterate of the
+    cycle and delayed Arnoldi steps can sum one) and ``polish`` (steps run
+    on past the A-residual floor before the best iterate is returned).
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
     by :meth:`start`; given the step budget of the cycle), :meth:`step`
     (one append, whose Arnoldi step takes ``ride``; returns the recurrence
     value of the minimized norm and sets ``closed``), :meth:`coefficients`
-    (or :meth:`iterate`) and :meth:`closure`.
+    (or :meth:`iterate`) and :meth:`closure`; a residual minimizer also
+    ``ares_estimate(k)``, the A-residual estimate of iterate ``k - 1``
+    after step ``k``.
     """
 
     hat = False
     minimized = 0
     lift = True
-    restarts = True
+    keeps_basis = True
     polish = 0
     # (z, x): the coefficients of an iterate whose sum ``x += V z`` the
     # next Arnoldi step completes (see :meth:`_Monitor.record`)
@@ -176,7 +179,7 @@ class _Subproblem:
         """Whether a cycle of ``budget`` steps reaches the delayed Arnoldi
         steps (see :mod:`rskrylov.arnoldi`), whose pass over the basis can
         sum an iterate on its way: whether its last step is delayed."""
-        return _block_rows(budget, self.A.n) > 0
+        return self.keeps_basis and _block_rows(budget, self.A.n) > 0
 
     def delayed_next(self):
         """Whether the next step runs a delayed Arnoldi pass."""
@@ -394,7 +397,7 @@ class _Monitor:
                 return None
             x = sub.iterate(k)
         except SingularTriangularError:
-            return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, None)
+            return self.fallback(None)
         return self._check(k, est, x)
 
     def _check(self, k, est, x):
@@ -404,7 +407,7 @@ class _Monitor:
         if self._rose(rn, arn, 2.0):
             # A clear increase of the minimized norm contradicts the
             # minimization: the subproblem has degenerated numerically.
-            return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, None)
+            return self.fallback(None)
         hist.append(rn, arn, est, self.A.count)
         self.last = p = (k, x, r, rn, arn)
         best_arn = self.best[-1]
@@ -438,12 +441,12 @@ class _Monitor:
             singular = True
         if not singular:
             return self._end(p, HAPPY_BREAKDOWN, None, k, est)
-        return self.singular(k, est)
+        return self.fallback(k, est)
 
-    def singular(self, k, est):
-        """``singular_final_system`` at closure in step ``k``, with the
-        best least squares iterate."""
-        return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, k, est)
+    def fallback(self, ell, est=np.nan):
+        """``singular_final_system`` with the best least squares iterate;
+        ``ell`` is the closure step, if the space closed."""
+        return self._end(self.best, SINGULAR_FINAL_SYSTEM, None, ell, est)
 
     def tail(self, budget):
         if self.polish_left < self.sub.polish:  # the floor was reached
@@ -451,61 +454,27 @@ class _Monitor:
         return self._end(self.last, MAXIT, None, None)
 
 
-class _RecurrenceMonitor(_Monitor):
-    """Estimate mode of the methods without an A-residual estimate: the
-    recurrence value is the minimized norm, recorded in its column; the
-    run stops once it is at its floor.  A singular closure returns the
-    last iterate that can be rebuilt; ``_end`` checks what it returns."""
+class _EstimateMonitor(_Monitor):
+    """Monitoring without explicit checks (``record_explicit=False``).
 
-    def _rebuilt(self, j):
-        """Iterate ``j`` unchecked, or ``x_in`` behind a singular factor."""
-        try:
-            x = self.sub.iterate(j)
-        except SingularTriangularError:
-            x = self.sub.x_in.copy()
-        return _Probe(j, x, None, np.inf, np.inf)
-
-    def record(self, k, est):
-        m = self.sub.minimized
-        row = [np.nan, np.nan]
-        row[m] = est
-        self.hist.append(*row, est, self.A.count)
-        if est <= self.floors[("res", "ares")[m]]:
-            rule = ("residual", "aresidual")[m]
-            return self._end(self._rebuilt(k), CONVERGED, rule, None)
-        return None
-
-    def singular(self, k, est):
-        return self._end(self._rebuilt(k - 1), SINGULAR_FINAL_SYSTEM, None, k, est)
-
-    def tail(self, budget):
-        """``maxit`` with the last iterate, checking only its ``|r|``."""
-        p = self._rebuilt(budget)
-        r = self.b - self.A.apply(p.x)
-        return self._end(p._replace(r=r, rn=norm(r), arn=np.nan), MAXIT, None, None)
-
-
-class _EstimateMonitor(_RecurrenceMonitor):
-    """Stopping rules of the residual minimizers in estimate mode.
-
-    The subproblem hands in, one Arnoldi step late and without a matvec,
-    an estimate of ``|A r_j|`` for iterate ``j = k - 1`` (at step ``k``);
-    the residual estimate of that iterate is the last history row.
-    ``best`` holds the smallest A-residual estimate and the residual
-    estimate of its iterate, not the iterate itself.
+    A method hands in a matvec-free estimate of ``|A r_j|``: a residual
+    minimizer for ``j = k - 1`` in :meth:`advance`, one step late, an
+    A-residual minimizer its recurrence value for ``j = k`` in
+    :meth:`record`.  ``best`` holds the smallest estimate, the residual
+    estimate of its iterate and, from a short recurrence, which cannot
+    rebuild it, the iterate.
 
     * A-residual rule: an estimate at ``tol |A r0|`` is confirmed by one
       explicit ``|A r|``; at most ten times the floor ends ``converged``.
     * Floor rule: an estimate above ten times the smallest one, while the
       best iterate's residual is numerically in null(A)
       (``rho <= LIFT_RHO``), means the iterates have left the attainable
-      floor: past it GMRES diverges by several times per step, while
-      before it ``|A r|`` (which neither method minimizes) can rise a few
-      times and fall again.
-    * Residual rule: a residual estimate at ``tol |r0|`` is confirmed by
-      one explicit ``|r|``; a failed confirmation switches the rule off
-      for the rest of the cycle (near closure a degenerate subproblem, or
-      cancellation in the estimate, can fool it).
+      floor; before it ``|A r|``, which a residual minimizer does not
+      minimize, can rise a few times and fall again.
+    * Residual rule (residual minimizers): a residual estimate at
+      ``tol |r0|`` is confirmed by one explicit ``|r|``; a failed
+      confirmation (a degenerate subproblem near closure, or cancellation
+      in the estimate) switches the rule off for the rest of the cycle.
 
     A failed A-residual confirmation, the floor rule and a singular
     closure end the cycle through :meth:`fallback`.
@@ -513,34 +482,44 @@ class _EstimateMonitor(_RecurrenceMonitor):
 
     def __init__(self, sub, budget):
         super().__init__(sub, budget)
-        self.ares = []  # A-residual estimate of each iterate
+        # A-residual estimate of each iterate, from |A r0| for a minimizer
+        self.ares = [self.best.arn] if self.minimized else []
         self.residual_rule = True
 
-    def _explicit(self, j):
-        """Iterate ``j`` checked explicitly (two matvecs); an iterate behind
-        a singular triangular factor gets infinite norms."""
-        try:
-            x = self.sub.iterate(j)
-        except SingularTriangularError:
-            return _Probe(j, None, None, np.inf, np.inf)
+    def _explicit(self, j, x=None):
+        """Iterate ``j`` (or ``x``) checked explicitly (two matvecs); an
+        iterate behind a singular triangular factor gets infinite norms."""
+        if x is None:
+            try:
+                x = self.sub.iterate(j)
+            except SingularTriangularError:
+                return _Probe(j, None, None, np.inf, np.inf)
         return _Probe(j, x, *explicit_norms(self.A, self.b, x))
 
     def advance(self, k):
-        """A-residual and floor rules for iterate ``k - 1``."""
+        """The rules of the A-residual estimate of iterate ``k - 1`` of a
+        residual minimizer."""
+        if self.minimized:
+            return None
         try:
             aest = self.sub.ares_estimate(k)
         except SingularTriangularError:
             return self.fallback(None)
-        j = k - 1
+        return self._ares_rules(k - 1, aest, self.hist.est[-1])
+
+    def _ares_rules(self, j, aest, rn):
+        """A-residual and floor rules for iterate ``j``, of A-residual
+        estimate ``aest`` and residual estimate ``rn``."""
         self.ares.append(aest)
         if aest < self.best.arn:
-            self.best = _Probe(j, None, None, self.hist.est[-1], aest)
+            held = None if self.sub.keeps_basis else self.sub.iterate(j)
+            self.best = _Probe(j, held, None, rn, aest)
         best = self.best
         if aest <= self.floors["ares"]:
             p = self._explicit(j)
             if p.arn <= 10.0 * self.floors["ares"]:
                 return self._end(p, CONVERGED, "aresidual", None)
-            return self.fallback(None, p)
+            return self.fallback(None, probe=p)
         if aest > 10.0 * best.arn and (
             best.arn * self.hist.res[0] <= LIFT_RHO * best.rn * self.hist.ares[0]
         ):
@@ -548,7 +527,11 @@ class _EstimateMonitor(_RecurrenceMonitor):
         return None
 
     def record(self, k, est):
-        """Residual rule for iterate ``k``, whose history row this adds."""
+        """Add iterate ``k``'s row; the rules of an A-residual minimizer's
+        estimate, or the residual rule."""
+        if self.minimized:
+            self.hist.append(np.nan, est, est, self.A.count)
+            return self._ares_rules(k, est, np.nan)
         self.hist.append(est, np.nan, est, self.A.count)
         if not self.residual_rule or est > self.floors["res"]:
             return None
@@ -564,24 +547,23 @@ class _EstimateMonitor(_RecurrenceMonitor):
             return None
         return self._end(_Probe(k, x, r, rn, np.nan), CONVERGED, "residual", None)
 
-    def singular(self, k, est):
-        return self.fallback(k, est=est)
-
-    def fallback(self, ell, probe=None, est=np.nan):
+    def fallback(self, ell, est=np.nan, probe=None):
         """``singular_final_system`` with the best-estimate iterate, checked
         explicitly.  When its explicit ``|A r|`` is above ten times its
         estimate, the estimates had drifted from the true values before
         it: bisect for the last iterate whose explicit value still agrees
-        with its estimate, and return the smallest explicit value seen."""
-        j = self.best.j
+        with its estimate, and return the smallest explicit value seen.
+        A held best has no earlier iterate to bisect over: it competes
+        with ``x_in`` only."""
+        j, held = self.best.j, self.best.x
         if probe is None or probe.j != j:
-            probe = self._explicit(j)
+            probe = self._explicit(j, held)
         probes = [probe]
         if probe.arn > 10.0 * self.ares[j]:
             sub = self.sub
             probes.append(_Probe(0, sub.x_in, sub.r0, sub.beta1, self.ares[0]))
             lo, hi = 0, j
-            while hi - lo > 1:
+            while hi - lo > 1 and held is None:
                 mid = (lo + hi) // 2
                 probe = self._explicit(mid)
                 probes.append(probe)
@@ -591,6 +573,15 @@ class _EstimateMonitor(_RecurrenceMonitor):
                     hi = mid
         best = min(probes, key=lambda p: p.arn)
         return self._end(best, SINGULAR_FINAL_SYSTEM, None, ell, est)
+
+    def tail(self, budget):
+        """``maxit`` with the last iterate, checking only its ``|r|``."""
+        try:
+            x = self.sub.iterate(budget)
+        except SingularTriangularError:
+            x = self.sub.x_in.copy()
+        r = self.b - self.A.apply(x)
+        return self._end(_Probe(budget, x, r, norm(r), np.nan), MAXIT, None, None)
 
 
 def _cycle(sub, budget):
@@ -611,12 +602,8 @@ def _cycle(sub, budget):
     if len(sub.hist.mv) == 1:
         # The first cycle: the initial row counts the seed's matvecs.
         sub.hist.mv[0] = sub.A.count
-    if sub.opts.record_explicit:
-        monitor = _Monitor(sub, budget)
-    elif hasattr(sub, "ares_estimate"):
-        monitor = _EstimateMonitor(sub, budget)
-    else:
-        monitor = _RecurrenceMonitor(sub, budget)
+    kind = _Monitor if sub.opts.record_explicit else _EstimateMonitor
+    monitor = kind(sub, budget)
     for k in range(1, budget + 1):
         est = sub.step(k)
         done = monitor.advance(k)
@@ -640,7 +627,7 @@ def _solve(method, kind, A, b, x0, opts, options):
     hist.append(beta1, np.nan, np.nan if kind.minimized else beta1, A.count)
     floors = {"res": opts.tol * beta1, "ares": None}
     budget = opts.maxit if opts.maxit is not None else A.n
-    restart = opts.restart if kind.restarts else None
+    restart = opts.restart if kind.keeps_basis else None
     x, r = x0, r0
     while True:
         size = budget if restart is None else min(restart, budget)

@@ -238,16 +238,19 @@ class HessenbergQr:
         return self._solve(self.t, size)
 
     def apply_rinv(self, rhs, size=None):
-        """Solve ``R z = rhs`` for an arbitrary right-hand side (used by
-        the two-level factorization to undo the inner factor)."""
+        """Solve ``R z = rhs`` for an arbitrary right-hand side of at least
+        ``size`` entries (used by the two-level factorization to undo the
+        inner factor)."""
         return self._solve(rhs, size)
 
     def solve_rhs(self, rhs):
         """Least squares solve of the current factorization against an
-        arbitrary dense right-hand side (padded with zeros to length
-        ``k + band``)."""
+        arbitrary dense right-hand side of at most ``k + band`` entries
+        (padded with zeros to that length)."""
         k = self.k
         g = [0.0] * (k + self.band)
+        if len(rhs) > len(g):
+            raise ValueError(f"rhs has length {len(rhs)}, expected at most {len(g)}")
         g[: len(rhs)] = np.asarray(rhs, dtype=np.float64).tolist()
         _rotate_rows(g, self.rotations)
         return self._solve(g, k)
@@ -260,6 +263,8 @@ class HessenbergQr:
             size = self.k
         elif not 0 <= size <= self.k:
             raise ValueError(f"size {size} is outside 0..k with k = {self.k}")
+        if len(rhs) < size:
+            raise ValueError(f"rhs has length {len(rhs)}, expected at least {size}")
         rhs = np.asarray(rhs[:size], dtype=np.float64)
         if size == 0:
             return np.zeros(0)

@@ -25,7 +25,6 @@ class HistoryRecord:
     ares_norms: np.ndarray
     matvecs: np.ndarray
     termination: str
-    wall_time: float = 0.0
     explicit: bool = True
 
     def __post_init__(self):
@@ -34,14 +33,13 @@ class HistoryRecord:
             raise ValueError("history columns must have equal lengths")
 
     @classmethod
-    def from_report(cls, report, wall_time=0.0, explicit=True):
+    def from_report(cls, report, explicit=True):
         return cls(
             method=report.method,
             res_norms=np.asarray(report.residual_history),
             ares_norms=np.asarray(report.aresidual_history),
             matvecs=np.asarray(report.matvec_history),
             termination=report.termination,
-            wall_time=wall_time,
             explicit=explicit,
         )
 

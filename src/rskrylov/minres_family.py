@@ -14,8 +14,10 @@ the iterate.
 Both are subproblems of the restart-cycle driver in
 :mod:`rskrylov.gmres_family`, which monitors, stops and lifts them as it
 does the five long-recurrence methods.  Each supplies only its Lanczos
-start and one step of its recurrence; storage stays at a fixed number of
-length-n vectors, no basis is retained, and ``opts.restart`` is ignored.
+start and one step of its recurrence (minres also the matvec-free
+A-residual estimate of MINRES-QLP) and holds its last two iterates;
+storage stays at a fixed number of length-n vectors, no basis is
+retained, and ``opts.restart`` is ignored.
 The rotated tridiagonal factor turning numerically singular, or the
 Lanczos process closing, is a subspace closure.
 
@@ -40,19 +42,17 @@ __all__ = ["minres_solve", "minares1_solve"]
 
 
 class _ShortRecurrence(_Subproblem):
-    """A Lanczos recurrence that updates its iterate ``x`` once per step; a
-    singular rotated factor sets ``singular`` and leaves ``x`` as it was.
-    Its :meth:`seed` reserves no basis, so it does not need the budget."""
+    """A Lanczos recurrence that updates its iterate ``x`` once per step
+    and holds the one before as ``x_prev``; a singular rotated factor sets
+    ``singular`` and leaves ``x`` as it was.  Its :meth:`seed` reserves no
+    basis, so it does not need the budget."""
 
-    restarts = False
+    keeps_basis = False
 
     def iterate(self, k):
-        """The iterate of the last step taken; the monitor asks for no
-        other."""
-        return self.x
-
-    def delays(self, budget):
-        return False  # no basis to sum an iterate over
+        """Iterate ``k`` of the last step ``steps`` taken, or the one
+        before; the monitors ask for no other."""
+        return self.x if k == self.steps else self.x_prev
 
     def closure(self, k):
         if self.singular:
@@ -77,6 +77,7 @@ class _Minres(_ShortRecurrence):
         self.tscale = 0.0
 
     def step(self, k):
+        self.x_prev, self.steps = self.x, k
         v = self.v
         w = self.A.apply(v)
         if k == 1:
@@ -91,6 +92,9 @@ class _Minres(_ShortRecurrence):
         delta = self.c1 * mid + self.s1 * alpha
         gamma_t = -self.s1 * mid + self.c1 * alpha
         gamma = float(np.hypot(gamma_t, beta_next))
+        # |A r| of the last iterate is |phi_bar| hypot(gamma_t, c1 beta_next)
+        # (MINRES-QLP: Choi, Paige & Saunders, SISC 33(4), 2011)
+        self.ares_parts = (self.phi_bar, gamma_t, self.c1 * beta_next)
         self.tscale = max(self.tscale, abs(alpha) + abs(self.beta_k) + beta_next)
         scale = max(1.0, self.tscale)
         self.singular = gamma <= 1e-14 * scale
@@ -108,6 +112,10 @@ class _Minres(_ShortRecurrence):
             self.c2, self.s2, self.c1, self.s1 = self.c1, self.s1, c, s
             self.w2, self.w1 = self.w1, w_dir
         return abs(self.phi_bar)
+
+    def ares_estimate(self, k):
+        phi_bar, gamma_t, c_beta = self.ares_parts
+        return abs(phi_bar) * float(np.hypot(gamma_t, c_beta))
 
 
 class _Minares(_ShortRecurrence):
@@ -137,6 +145,7 @@ class _Minares(_ShortRecurrence):
         self.tscale = 0.0
 
     def step(self, k):
+        self.x_prev, self.steps = self.x, k
         vhat = self.vhat
         av = self.A.apply(vhat)
         nav = norm(av)

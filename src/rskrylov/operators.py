@@ -135,9 +135,10 @@ class SolveOptions:
         Relative convergence tolerance.  A solve stops once
         ``||r_k|| <= tol * ||r_0||`` or ``||A r_k|| <= tol * ||A r_0||``
         (whichever monitor the method can evaluate).  Without explicit
-        monitoring, GMRES and RRGMRES watch matvec-free estimates of both
-        norms and confirm a stop with one explicit norm; the other
-        methods stop on the recurrence value of the norm they minimize.
+        monitoring, every method watches a matvec-free estimate of
+        ``||A r_k||`` (the residual minimizers GMRES, RRGMRES and MINRES
+        also one of ``||r_k||``) and confirms a stop with one explicit
+        norm.
     maxit : int, optional
         Iteration cap.  Defaults to the operator dimension.
     restart : int, optional
@@ -154,11 +155,12 @@ class SolveOptions:
         ``nan`` where a method has no cheap estimate.  Either way, for
         all seven methods, the last row holds the explicit norms of the
         returned ``solution``; without explicit monitoring its ``|A r|``
-        is ``nan`` after ``maxit`` and after the residual rule of GMRES
-        and RRGMRES, where only ``|r|`` is checked.  Once a long-recurrence
-        cycle runs delayed Arnoldi steps, the check of iterate ``k`` is
-        made after step ``k + 1``, whose pass over the basis forms the
-        iterate; a run it stops has taken that step's matvec.
+        is ``nan`` after ``maxit`` and after the residual rule of GMRES,
+        RRGMRES and MINRES, where only ``|r|`` is checked.  Once a
+        long-recurrence cycle runs delayed Arnoldi steps, the check of
+        iterate ``k`` is made after step ``k + 1``, whose pass over the
+        basis forms the iterate; a run it stops has taken that step's
+        matvec.
     """
 
     tol: float = 1e-10

@@ -10,10 +10,13 @@ import rskrylov as rk
 from conftest import make_criterion07_instance
 
 
-def make_inconsistent(seed, n=20, rank=15, cond=100.0):
-    A, Ap = rk.make_random_range_symmetric(
-        rk.RandomSpec(n=n, rank=rank, cond=cond, seed=seed)
-    )
+def make_inconsistent(seed, n=20, rank=15, cond=100.0, symmetric=False):
+    spec = rk.RandomSpec(n=n, rank=rank, cond=cond, seed=seed)
+    if symmetric:
+        A = rk.make_random_symmetric_singular(spec)
+        Ap = np.linalg.pinv(A, rcond=1e-9)
+    else:
+        A, Ap = rk.make_random_range_symmetric(spec)
     rng = np.random.default_rng(seed + 1000)
     b_cons = A @ rng.standard_normal(n)
     nullv = rng.standard_normal(n)
@@ -412,20 +415,61 @@ def test_success_tag_implies_aresidual_floor_on_random_systems(
 ):
     # no long-recurrence method may report success with an explicit
     # A-residual above the floor, on consistent or inconsistent systems,
-    # and neither may gmres or rrgmres without explicit monitoring
+    # and neither may gmres or rrgmres without explicit monitoring, nor
+    # minres or minares on symmetric systems
     rank = min(n - 1, max(1, round(rank_share * n)))
-    A, _, b_cons, b_inc = make_inconsistent(seed, n=n, rank=rank, cond=10**log_cond)
     runs = [("gmres", True), ("rrgmres", True), ("dgmres", True)]
     runs += [("rsmar1", True), ("rsmar2", True), ("gmres", False), ("rrgmres", False)]
-    for b in (b_cons, b_inc):
-        ares0 = np.linalg.norm(A @ b)
-        for method, explicit in runs:
-            rep = rk.SOLVERS[method](
-                A, b, tol=tol, maxit=4 * n, record_explicit=explicit
-            )
-            if rep.termination in (rk.CONVERGED, rk.HAPPY_BREAKDOWN):
-                ares = np.linalg.norm(A @ (b - A @ rep.solution))
-                assert ares <= 1e-6 * ares0, (method, explicit, rep.termination)
+    for symmetric, methods in ((False, runs), (True, [("minres", True), ("minares", True)])):
+        A, _, b_cons, b_inc = make_inconsistent(
+            seed, n=n, rank=rank, cond=10**log_cond, symmetric=symmetric
+        )
+        for b in (b_cons, b_inc):
+            ares0 = np.linalg.norm(A @ b)
+            for method, explicit in methods:
+                rep = rk.SOLVERS[method](
+                    A, b, tol=tol, maxit=4 * n, record_explicit=explicit
+                )
+                if rep.termination in (rk.CONVERGED, rk.HAPPY_BREAKDOWN):
+                    ares = np.linalg.norm(A @ (b - A @ rep.solution))
+                    assert ares <= 1e-6 * ares0, (method, explicit, rep.termination)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    n=st.integers(10, 60),
+    rank_share=st.floats(0.25, 0.95),
+    log_cond=st.floats(1.0, 6.0),
+    seed=st.integers(0, 10**6),
+    tol=st.sampled_from([1e-8, 1e-10, 1e-13]),
+)
+def test_estimate_mode_success_tag_holds_for_the_norm_its_rule_names(
+    n, rank_share, log_cond, seed, tol
+):
+    # Without explicit monitoring every method stops on estimates; a
+    # success tag must still hold for the explicit norm that names it:
+    # "aresidual" and "residual" ten times their floors at most, a happy
+    # breakdown the A-residual floor of the test above.
+    rank = min(n - 1, max(1, round(rank_share * n)))
+    for symmetric, methods in ((False, LONG_METHODS), (True, ("minres", "minares"))):
+        A, _, b_cons, b_inc = make_inconsistent(
+            seed, n=n, rank=rank, cond=10**log_cond, symmetric=symmetric
+        )
+        for b in (b_cons, b_inc):
+            res0, ares0 = np.linalg.norm(b), np.linalg.norm(A @ b)
+            for method in methods:
+                rep = rk.SOLVERS[method](
+                    A, b, tol=tol, maxit=4 * n, record_explicit=False
+                )
+                r = b - A @ rep.solution
+                res, ares = np.linalg.norm(r), np.linalg.norm(A @ r)
+                tag = (method, rep.termination, rep.stop_rule)
+                if rep.stop_rule == "aresidual":
+                    assert ares <= 10 * tol * ares0, tag
+                elif rep.stop_rule == "residual":
+                    assert res <= 10 * tol * res0, tag
+                elif rep.termination == rk.HAPPY_BREAKDOWN:
+                    assert ares <= 1e-6 * ares0, tag
 
 
 @pytest.mark.parametrize("method", ["gmres", "rrgmres", "dgmres", "rsmar1", "rsmar2"])
@@ -535,12 +579,16 @@ def ending_system(name):
     if name.startswith("c07"):
         A, _, b = make_criterion07_instance(int(name[-1]))
         return A, b, dict(tol=1e-13, maxit=4 * A.shape[0])
-    if name.startswith("grid-m50"):
+    if name.endswith("consistent"):
         return grid_m50(name.split("-")[-1])
-    m, d = {"grid-m20-d10": (20, 10.0), "grid-m10-d0": (10, 0.0)}[name]
+    m, d, tol = {
+        "grid-m20-d10": (20, 10.0, 1e-9),
+        "grid-m10-d0": (10, 0.0, 1e-9),
+        "grid-m50-d0": (50, 0.0, 1e-8),
+    }[name]
     spec = rk.BvpSpec(m=m, d=d)
     A = rk.make_bvp_matrix(spec)
-    return A, rk.make_bvp_rhs(spec, "inconsistent_xy"), dict(tol=1e-9)
+    return A, rk.make_bvp_rhs(spec, "inconsistent_xy"), dict(tol=tol)
 
 
 @pytest.mark.parametrize("explicit", [True, False])
@@ -555,6 +603,7 @@ def ending_system(name):
         "c07-s9",
         "grid-m50-consistent",
         "grid-m50-inconsistent",
+        "grid-m50-d0",
     ],
 )
 def test_history_ends_at_the_returned_iterate(system, method, explicit):
@@ -562,9 +611,10 @@ def test_history_ends_at_the_returned_iterate(system, method, explicit):
     # before the last one; on c07 rsmar2 and estimate-mode gmres and
     # rrgmres end at a singular closure with an earlier iterate; on the
     # m=50 grid the explicit check of the long methods is deferred to the
-    # next Arnoldi step.  The last row holds the explicit norms of the
-    # answer, and the closure step is the last iteration; no matvec is
-    # spent after the last row.
+    # next Arnoldi step; on the m=50 d=0 grid estimate-mode minres ends
+    # singular_final_system with the iterate it held two steps back.  The
+    # last row holds the explicit norms of the answer, and the closure step
+    # is the last iteration; no matvec is spent after the last row.
     A, b, options = ending_system(system)
     rep = rk.SOLVERS[method](A, b, record_explicit=explicit, **options)
     r = b - A @ rep.solution

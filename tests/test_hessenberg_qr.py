@@ -304,6 +304,13 @@ def test_column_length_validation():
             qr.apply_rinv([1.0, 1.0], size)
     assert_allclose(qr.solve(0), [])
     assert_allclose(qr.apply_rinv([2.0], 1), [2.0 / np.hypot(2.0, 1.0)])
+    # right-hand sides of the wrong length name both lengths
+    qr.append_column([1.0, 3.0, 1.0])
+    with pytest.raises(ValueError, match="length 5, expected at most 3"):
+        qr.solve_rhs([1.0, 2.0, 3.0, 4.0, 5.0])
+    for size in (None, 2):
+        with pytest.raises(ValueError, match="length 1, expected at least 2"):
+            qr.apply_rinv([1.0], size)
 
 
 def test_q_columns_tracked_with_the_factor():

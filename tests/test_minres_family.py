@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import rskrylov as rk
 from rskrylov._common import Histories, prepare
-from rskrylov.minres_family import _Minares
+from rskrylov.minres_family import _Minares, _Minres
 
 
 def make_symmetric(seed, n=30, rank=20, cond=30.0, consistent=True):
@@ -38,15 +38,52 @@ def test_minres_singular_2x2():
 
 
 def test_minres_estimate_mode_singular_closure_lifts():
-    # the rotated factor turns singular at step 2; the returned iterate 1
-    # is the one the lift maps to A^+ b, not the start x0 = 0, and the
-    # closure step is the last iteration
+    # the rotated factor turns singular at step 2, whose A-residual
+    # estimate of iterate 1 is 0: one explicit check confirms it, and
+    # iterate 1 (not the start x0 = 0) is returned and lifted to A^+ b,
+    # as estimate-mode gmres does
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     rep = rk.minres_solve(A, np.array([1.0, 1.0]), record_explicit=False)
-    assert rep.termination == rk.SINGULAR_FINAL_SYSTEM
-    assert rep.iterations == rep.detected_ell == 2
+    assert (rep.termination, rep.stop_rule) == (rk.CONVERGED, "aresidual")
+    assert rep.iterations == 1
+    assert rep.matvec_count == 4  # two steps and the confirming check
     assert_allclose(rep.solution, [1.0, 1.0], atol=1e-14)
     assert_allclose(rep.lifted_solution, [1.0, 0.0], atol=1e-14)
+
+
+def inconsistent_grid(m):
+    spec = rk.BvpSpec(m=m, d=0.0)
+    A = rk.make_bvp_matrix(spec)
+    return A, rk.make_bvp_rhs(spec, "inconsistent_xy")
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_minres_estimate_mode_stops_at_the_least_squares_floor_on_grid(m):
+    # Watching only its residual estimate, which cannot reach tol |r0| on
+    # an inconsistent system, estimate mode took a singular closure for a
+    # happy breakdown at m=8 (error 1.4e13) and ran to maxit at m=10
+    # (error 2.1e16).  The A-residual estimate stops it, confirmed.
+    A, b = inconsistent_grid(m)
+    rep = rk.minres_solve(A, b, tol=1e-8, record_explicit=False)
+    assert (rep.termination, rep.stop_rule) == (rk.CONVERGED, "aresidual")
+    xstar = rk.pseudoinverse_solve(A.toarray(), b)
+    assert np.linalg.norm(rep.lifted_solution - xstar) <= 1e-7 * np.linalg.norm(xstar)
+
+
+def test_minres_estimate_mode_falls_back_to_the_held_best_iterate():
+    # Past the attainable floor the A-residual estimate rises tenfold
+    # (the floor rule): the best-estimate iterate 32, which the recurrence
+    # no longer holds as x or x_prev, is returned and lifted.  Both modes
+    # run the same recurrence, and explicit mode returns the same iterate
+    # (4e-9 from A^+ b after the lift).
+    A, b = inconsistent_grid(50)
+    rep = rk.minres_solve(A, b, tol=1e-8, record_explicit=False)
+    assert rep.termination == rk.SINGULAR_FINAL_SYSTEM
+    assert rep.iterations == 32 and rep.detected_ell is None
+    explicit = rk.minres_solve(A, b, tol=1e-8)
+    assert explicit.iterations == 32
+    assert_array_equal(rep.solution, explicit.solution)
+    assert_array_equal(rep.lifted_solution, explicit.lifted_solution)
 
 
 @pytest.mark.parametrize("method", ["minres", "minares"])
@@ -142,6 +179,24 @@ def test_minares_rho_monotone_and_faithful(seed):
     assert np.all(h[1:] <= h[:-1] * (1 + 1e-12))
     dev = np.max(np.abs(rep.estimate_history - rep.aresidual_history))
     assert dev <= 1e-8 * rep.aresidual_history[0]
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_minres_aresidual_estimate_matches_explicit(consistent):
+    # MINRES-QLP's recurrence for |A r| of iterate k - 1, read after step
+    # k without a matvec, is the explicit value while rounding is small
+    A, Ap, b = make_symmetric(3, consistent=consistent)
+    Aop, b, x0, r0, opts = prepare(A, b, None, None)
+    hist = Histories()
+    hist.append(np.linalg.norm(r0), np.nan, np.nan, 0)
+    sub = _Minres(Aop, b, x0, r0, opts, {"res": 0.0, "ares": None}, hist)
+    sub.seed()
+    for k in range(1, 13):
+        x = sub.x
+        sub.step(k)
+        assert not sub.closed
+        explicit = np.linalg.norm(A @ (b - A @ x))
+        assert sub.ares_estimate(k) == pytest.approx(explicit, rel=1e-8)
 
 
 def test_minares_w_recursion_consistency():
