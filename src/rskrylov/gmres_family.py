@@ -432,10 +432,13 @@ class _Monitor:
             # The minimized norm cannot exceed the last one (nested
             # minimization); a jump proves the square system at closure is
             # numerically singular even when the diagonal guard missed it.
-            # An A-residual above the best seen proves it too, whichever
-            # way rounding moved the residual norm.
+            # An A-residual above the best seen, or above x_in's (its row,
+            # needed before the first check; a NaN there, after an
+            # estimate-mode maxit, loses to the best in min), proves it
+            # too, whichever way rounding moved the residual norm.
+            best_arn = min(self.best[-1], self.hist.ares[self.row0])
             singular = self._rose(p.rn, p.arn, 1.0 + 1e-6) or (
-                p.arn > self.best[-1] * (1.0 + 1e-6) + 1e-12 * self.hist.ares[0]
+                p.arn > best_arn * (1.0 + 1e-6) + 1e-12 * self.hist.ares[0]
             )
         except SingularTriangularError:
             singular = True

@@ -498,6 +498,22 @@ def test_gmres_degenerate_closure_returns_best_iterate():
     assert np.linalg.norm(rep.lifted_solution - xstar) <= 1e-6 * np.linalg.norm(xstar)
 
 
+@pytest.mark.parametrize("explicit", [True, False])
+@pytest.mark.parametrize("restart", [None, 4])
+@pytest.mark.parametrize("method", sorted(rk.SOLVERS))
+def test_rhs_in_the_null_space_returns_zero(method, restart, explicit):
+    # b numerically in null(A): A b is rounding noise, so the 1x1 square
+    # system at a closure at step 1 is numerically singular, and its solve
+    # is huge (|x| up to 6e14 for gmres) while its |A r| is above x_in's.
+    # No iterate is checked before it, so the closure guard compares its
+    # |A r| with x_in's; x_in = 0 is the least squares solution A^+ b.
+    for seed in range(40):
+        A, _ = rk.make_random_range_symmetric(rk.RandomSpec(n=12, rank=9, seed=seed))
+        b = 3.0 * np.linalg.svd(A)[0][:, -1]
+        rep = rk.SOLVERS[method](A, b, restart=restart, record_explicit=explicit)
+        assert np.linalg.norm(rep.solution) <= 1e-6, seed
+
+
 @pytest.mark.parametrize("method", ["gmres", "rrgmres"])
 def test_estimate_mode_convergence_confirmed_by_explicit_residual(method):
     # On this inconsistent grid system the residual estimate of both

@@ -526,17 +526,20 @@ def test_cli_solve_identity_converges_first_iteration(tmp_path, capsys):
 @pytest.mark.parametrize(
     "method, d, flags",
     [
-        pytest.param("gmres", "10", [], id="gmres-10"),
-        pytest.param("minres", "0", [], id="minres-0"),
+        pytest.param("gmres", "10", ["--explicit"], id="gmres-10"),
+        pytest.param("minres", "0", ["--explicit"], id="minres-0"),
         pytest.param("minares", "0", ["--estimates"], id="minares-0-estimates"),
+        pytest.param("gmres", "10", [], id="gmres-10-default"),
+        pytest.param("minres", "0", [], id="minres-0-default"),
     ],
 )
 def test_cli_solve_prints_the_norms_of_the_answer(tmp_path, capsys, method, d, flags):
     # The first two runs return an iterate checked before the last one:
     # gmres runs on past its attainable floor, minres polishes past the
     # A-residual floor.  minares without explicit monitoring stops on its
-    # recurrence value.  The printed |Ar| and the history's last row must
-    # still be the answer's own.
+    # recurrence value; by default gmres ends on its best estimate, checked
+    # once, and minres on an estimate confirmed by one explicit |Ar|.  The
+    # printed |Ar| and the history's last row must still be the answer's own.
     mtx, out, csv_path = tmp_path / "a.mtx", tmp_path / "x.txt", tmp_path / "h.csv"
     assert cli_main(["generate", "bvp", "--m", "10", "--d", d, "--out", str(mtx)]) == 0
     rc = cli_main(
@@ -553,6 +556,64 @@ def test_cli_solve_prints_the_norms_of_the_answer(tmp_path, capsys, method, d, f
     _, rows = read_history_csv(csv_path)
     assert printed == pytest.approx(arn, rel=1e-6, abs=0.0)
     assert rows[-1]["ares_norm"] == pytest.approx(arn, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "flags, residuals",
+    [([], "estimated"), (["--explicit"], "explicit")],
+)
+def test_cli_solve_monitors_by_the_flag_estimates_by_default(
+    tmp_path, capsys, flags, residuals
+):
+    # Estimates spend one matvec per step, plus the seed's and the checks
+    # of a stop; explicit monitoring two more per step.
+    mtx, csv_path = tmp_path / "a.mtx", tmp_path / "h.csv"
+    assert cli_main(["generate", "bvp", "--m", "10", "--out", str(mtx)]) == 0
+    capsys.readouterr()
+    rc = cli_main(
+        [
+            "solve", "--method", "rsmar2", "--matrix", str(mtx), "--rhs-kind", "xy",
+            "--history", str(csv_path), *flags,
+        ]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    iterations, matvecs = (
+        int(re.search(rf"{key}=(\d+)", out).group(1)) for key in ("iterations", "matvecs")
+    )
+    comment, rows = read_history_csv(csv_path)
+    assert comment == f"# residuals: {residuals}"
+    assert f"monitor={'explicit' if residuals == 'explicit' else 'estimates'}" in out
+    assert rows[-1]["matvecs"] == matvecs
+    if residuals == "estimated":
+        assert matvecs <= iterations + 3
+    else:
+        assert 3 * iterations <= matvecs <= 3 * iterations + 3
+
+
+def test_cli_solve_says_when_the_answers_aresidual_was_not_checked(tmp_path, capsys):
+    # estimate-mode maxit checks only the answer's |r|
+    mtx = tmp_path / "a.mtx"
+    assert cli_main(["generate", "random-rs", "--n", "40", "--rank", "30", "--out", str(mtx)]) == 0
+    rc = cli_main(["solve", "--method", "minres", "--matrix", str(mtx), "--rhs-kind", "Ae"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "termination=maxit" in out
+    assert "|Ar|=not checked" in out
+    assert "nan" not in out
+
+
+def test_cli_explicit_gmres_on_an_rhs_in_the_null_space_returns_zero(tmp_path, capsys):
+    # --rhs-kind e on the periodic grid is the null vector of A
+    mtx, out = tmp_path / "a.mtx", tmp_path / "x.txt"
+    assert cli_main(["generate", "bvp", "--m", "10", "--out", str(mtx)]) == 0
+    rc = cli_main(
+        ["solve", "--method", "gmres", "--explicit", "--matrix", str(mtx),
+         "--rhs-kind", "e", "--out", str(out)]
+    )
+    assert rc == 0
+    assert "termination=singular_final_system" in capsys.readouterr().out
+    assert np.linalg.norm(read_vector(out)) <= 1e-6
 
 
 def test_cli_compare_bvp_inconsistent(tmp_path):
@@ -614,9 +675,11 @@ def test_cli_estimates_mode_csv(tmp_path):
     assert len(rows) >= 2
 
 
-def test_cli_errors(tmp_path):
-    # unknown method: argparse exits with code 2
+def test_cli_errors(tmp_path, capsys):
+    # unknown method, and both monitors: argparse exits with code 2
     assert cli_main(["solve", "--method", "nosuch", "--matrix", "x", "--rhs", "ones"]) == 2
+    both = ["--estimates", "--explicit"]
+    assert cli_main(["solve", "--method", "gmres", "--matrix", "x", "--rhs", "ones", *both]) == 2
     # missing file: reported error, exit 1
     assert (
         cli_main(["solve", "--method", "gmres", "--matrix", str(tmp_path / "no.mtx"), "--rhs", "ones"])
@@ -631,6 +694,14 @@ def test_cli_errors(tmp_path):
     out = tmp_path / "c.csv"
     assert cli_main(["compare", "--methods", ",", "--matrix", str(mtx), "--rhs", "ones", "--out", str(out)]) == 1
     assert not out.exists()
+    # an output path that nothing would be written to names the missing flag
+    capsys.readouterr()
+    assert cli_main(["check", "--matrix", str(mtx), "--out", str(out)]) == 1
+    assert "--out requires --rhs" in capsys.readouterr().err
+    grid = tmp_path / "g.mtx"
+    assert cli_main(["generate", "bvp", "--m", "5", "--out", str(grid), "--rhs-out", str(out)]) == 1
+    assert "--rhs-out requires --rhs-kind" in capsys.readouterr().err
+    assert not out.exists() and not grid.exists()
 
 
 def test_cli_solve_with_x0_and_lifted_output(tmp_path):
