@@ -43,12 +43,13 @@ delayed step applies ``A`` to both ``v_k`` and ``u``.
 
 The rows of the basis are allocated up front: a caller that knows how
 many steps it may take passes ``capacity`` and gets an array of that many
-rows, written in place; the untouched rows never become resident.  ``H``
-is one zeroed array beside it, ``r + 1`` rows by ``r`` columns for ``r``
-rows of basis, so that ``H c`` is one product and the solvers read its
-leading blocks in place.  Without a capacity, or when the operating
-system refuses either reservation, the pair starts at 32 rows and
-doubles by copying when the basis fills.
+rows, written in place; the untouched rows never become resident.
+``[beta e1, H]``, as in ``[v, A V_k] = V_{k+1} [beta e1, H_k]`` (Saad &
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), is one zeroed square array
+beside it, of order ``r + 1`` for ``r`` rows of basis, so that ``H c`` is
+one product and the solvers read its leading blocks in place.  Without a
+capacity, or when the operating system refuses either reservation, the
+pair starts at 32 rows and doubles by copying when the basis fills.
 
 A step whose new subdiagonal entry falls below
 ``breakdown_tol * max(1, ||A v_k||)`` is a happy breakdown: the subspace
@@ -95,9 +96,9 @@ class ArnoldiState:
 
     The basis vectors are the rows of one array, reserved for ``capacity``
     vectors up front (see :func:`arnoldi_init`) and written in place.
-    ``H`` is one zeroed array beside it, in its own orientation, with a
-    row more than the basis and a column per basis row.  Step ``j``
-    writes column ``j`` once, so views of ``H`` stay valid.
+    ``[beta e1, H]`` is one zeroed array beside it, in its own
+    orientation, with a row and a column more than the basis has rows.
+    Step ``j`` writes column ``j + 1`` once, so views of it stay valid.
 
     Attributes
     ----------
@@ -121,6 +122,7 @@ class ArnoldiState:
         n = v1.shape[0]
         self._V, self._H = _reserve(capacity, n)
         self._V[0] = v1
+        self._H[0, 0] = seed_norm
         self.n = n
         self.k = 0
         self.seed_norm = float(seed_norm)
@@ -148,7 +150,7 @@ class ArnoldiState:
     def column(self, j):
         """The ``j``-th Hessenberg column (0-based, length ``j + 2``), a
         view."""
-        return self._H[: j + 2, j]
+        return self._H[: j + 2, j + 1]
 
     def hessenberg(self, cols=None, rows=None):
         """The leading ``rows x cols`` block of ``H`` (defaults to
@@ -157,7 +159,11 @@ class ArnoldiState:
             cols = self.k
         if rows is None:
             rows = cols + 1
-        return self._H[:rows, :cols]
+        return self._H[:rows, 1 : cols + 1]
+
+    def triangle(self, k):
+        """The leading ``k x k`` block of ``[seed_norm e1, H]``, a view."""
+        return self._H[:k, :k]
 
     def _grow(self):
         """Double the rows of the basis (at most ``n``) and the order of
@@ -165,13 +171,13 @@ class ArnoldiState:
         rows = len(self._V)
         V, H = _arrays(min(2 * rows, self.n), self.n)
         V[:rows] = self._V
-        H[: rows + 1, :rows] = self._H
+        H[: rows + 1, : rows + 1] = self._H
         self._V, self._H = V, H
 
 
 def _arrays(rows, n):
-    """Uninitialized ``rows`` of basis and a zeroed ``H`` to match."""
-    return np.empty((rows, n)), np.zeros((rows + 1, rows))
+    """Uninitialized ``rows`` of basis and a zeroed ``[beta e1, H]``."""
+    return np.empty((rows, n)), np.zeros((rows + 1, rows + 1))
 
 
 def _reserve(capacity, n):
@@ -271,8 +277,8 @@ def arnoldi_step(state, A, *, ride=None):
         z, x = ride
         x += z @ Vk[: len(z)]
     hnext = norm(w)
-    state._H[: k + 1, k] = h
-    state._H[k + 1, k] = hnext
+    state._H[: k + 1, k + 1] = h
+    state._H[k + 1, k + 1] = hnext
     state.k = k + 1
     if hnext <= state.breakdown_tol * max(1.0, wnorm) or state.k == state.n:
         state.broke_down = True

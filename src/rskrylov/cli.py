@@ -70,12 +70,12 @@ def _build_parser():
         "kind", choices=("bvp", "random-rs", "random-sym", "random-skew")
     )
     gen.add_argument("--out", required=True, help="output .mtx path")
-    gen.add_argument("--m", type=int, default=100, help="bvp grid size per dimension")
-    gen.add_argument("--d", type=float, default=10.0, help="bvp convection constant")
-    gen.add_argument("--n", type=int, default=40, help="random matrix dimension")
-    gen.add_argument("--rank", type=int, default=None, help="random matrix rank")
-    gen.add_argument("--cond", type=float, default=100.0, help="condition target")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--m", type=int, help="bvp grid size per dimension (100)")
+    gen.add_argument("--d", type=float, help="bvp convection constant (10)")
+    gen.add_argument("--n", type=int, help="random matrix dimension (40)")
+    gen.add_argument("--rank", type=int, help="random-rs/sym rank (3n/4)")
+    gen.add_argument("--cond", type=float, help="random-rs/sym condition target (100)")
+    gen.add_argument("--seed", type=int, help="random seed (0)")
     gen.add_argument(
         "--rhs-kind",
         choices=("xy", "consistent-random"),
@@ -185,9 +185,27 @@ def _load_system(args):
     return A, b, x0, opts
 
 
+# The options of each kind of ``generate`` and their defaults; one given
+# to a kind it does not apply to is an error, not ignored.
+_RANDOM = {"n": 40, "rank": None, "cond": 100.0, "seed": 0}
+_GENERATE_OPTIONS = {
+    "bvp": {"m": 100, "d": 10.0, "rhs_kind": None, "seed": 0},
+    "random-rs": _RANDOM, "random-sym": _RANDOM, "random-skew": {"n": 40, "seed": 0},
+}
+
+
 def _cmd_generate(args):
     if args.rhs_out is not None and args.rhs_kind is None:
         raise ValueError("--rhs-out requires --rhs-kind")
+    seeded = args.kind != "bvp" or args.rhs_kind == "consistent-random"
+    if args.seed is not None and not seeded:
+        raise ValueError("--seed applies to bvp only with --rhs-kind consistent-random")
+    defaults = _GENERATE_OPTIONS[args.kind]
+    for name in ("m", "d", "n", "rank", "cond", "seed", "rhs_kind"):
+        if getattr(args, name) is None:
+            setattr(args, name, defaults.get(name))
+        elif name not in defaults:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {args.kind}")
     if args.kind == "bvp":
         spec = BvpSpec(m=args.m, d=args.d)
         A = make_bvp_matrix(spec)
@@ -201,8 +219,6 @@ def _cmd_generate(args):
             b = make_bvp_rhs(spec, kind, seed=args.seed, matrix=A)
             write_vector(args.rhs_out, b)
     else:
-        if args.rhs_kind is not None:
-            raise ValueError("--rhs-kind is only supported for the bvp kind")
         rank = args.rank if args.rank is not None else max(1, (3 * args.n) // 4)
         if args.kind == "random-rs":
             spec = RandomSpec(n=args.n, rank=rank, cond=args.cond, seed=args.seed)

@@ -146,9 +146,11 @@ class _Subproblem:
 
         The basis is reserved for the ``budget`` steps of the cycle at
         once: ``budget + 1`` vectors, one more for a two-level method,
-        which runs Arnoldi one step ahead.
+        which runs Arnoldi one step ahead, and the projected factors for
+        ``capacity = budget`` columns; neither beyond ``n``.
         """
         v = self.A.apply(self.r0) if self.hat else self.r0
+        self.capacity = min(budget, self.A.n)
         rows = min(budget + 2, self.A.n)
         self.state = arnoldi_init(self.A, v, self.opts.breakdown_tol, capacity=rows)
         self.start()
@@ -196,8 +198,8 @@ class _Gmres(_Subproblem):
     right-hand side is the residual norm."""
 
     def start(self):
-        explicit = self.opts.record_explicit
-        self.qr = (HessenbergQr if explicit else HessenbergQrWithQ)(self.beta1)
+        kind = HessenbergQr if self.opts.record_explicit else HessenbergQrWithQ
+        self.qr = kind(self.beta1, self.capacity)
 
     def step(self, k):
         self.closed = arnoldi_step(self.state, self.A, ride=self.ride) == "breakdown"
@@ -233,7 +235,7 @@ class _Rrgmres(_Subproblem):
         self.anchor(self.state.seed_norm)
         v = self.state.vector(0)
         g0 = float(v @ self.r0)
-        self.qr = HessenbergQr(g0)
+        self.qr = HessenbergQr(g0, self.capacity)
         self.p = self.r0 - g0 * v
 
     def step(self, k):
@@ -283,8 +285,8 @@ class _TwoLevel(_Subproblem):
             ar0 = (s * col1[0], s * col1[1])
         if self.beta_hat <= self.opts.breakdown_tol:
             raise ZeroSeedError("A r0 is numerically zero")
-        self.inner = HessenbergQrWithQ(s)
-        self.outer = BandedQr(ar0)
+        self.inner = HessenbergQrWithQ(s, self.capacity)
+        self.outer = BandedQr(ar0, self.capacity)
 
     def step(self, k):
         state = self.state

@@ -13,13 +13,14 @@ stops and lifts them exactly as it does the GMRES family.
 projected subproblem is then a plain Hessenberg least squares problem and
 the tail of its rotated right-hand side is the A-residual norm; the
 iterate is mapped back to the residual-seeded space through the
-triangular change-of-basis matrix ``[bhat1 e1, Hhat_{k,k-1}]``, solved
-at every step by block back substitution (``solve_upper``).  Its inverse,
-built a column at a time as the projected factors keep theirs, is
-unstable: on the m=50 grid with a consistent right-hand side it turns a
-230-step convergence into 370 steps and a singular final system.  This
-variant is known to go unstable on some consistent problems; it is kept
-faithful to that behavior (the histories expose it) rather than patched.
+triangular change-of-basis matrix ``[bhat1 e1, Hhat_{k,k-1}]``, read
+from the Arnoldi run and solved at every step by block back substitution
+(``solve_upper``).  Its inverse, built a column at a time as the projected
+factors keep theirs, is unstable: on the m=50 grid with a consistent
+right-hand side it turns a 230-step convergence into 370 steps and a
+singular final system.  This variant is known to go unstable on some
+consistent problems; it is kept faithful to that behavior (the histories
+expose it) rather than patched.
 
 ``rsmar2_solve`` runs the Arnoldi process on the seed ``r0`` one step
 ahead and factors the subproblem in two levels: an inner QR of the
@@ -36,7 +37,7 @@ from __future__ import annotations
 from ._common import explicit_norms  # noqa: F401
 from .arnoldi import arnoldi_step
 from .gmres_family import _solve, _Subproblem, _TwoLevel
-from .hessenberg_qr import ColumnBuffer, HessenbergQr, solve_upper
+from .hessenberg_qr import HessenbergQr, solve_upper
 
 __all__ = ["rsmar1_solve", "rsmar2_solve"]
 
@@ -49,23 +50,18 @@ class _Rsmar1(_Subproblem):
 
     def start(self):
         self.anchor(self.state.seed_norm)
-        self.qr = HessenbergQr(self.beta_hat)
-        # Columns of the change of basis [bhat1 e1, Hhat_{k,k-1}].
-        self.change = ColumnBuffer()
-        self.change.push([self.beta_hat])
+        self.qr = HessenbergQr(self.beta_hat, self.capacity)
 
     def step(self, k):
         self.closed = arnoldi_step(self.state, self.A, ride=self.ride) == "breakdown"
-        col = self.state.column(k - 1)
-        self.change.push(col)
-        return self.qr.append_column(col, 0.0)
+        return self.qr.append_column(self.state.column(k - 1), 0.0)
 
     def coefficients(self, k):
         """Solve the projected subproblem for ``zhat``, then
         ``[bhat1 e1, Hhat_{k,k-1}] y = zhat``: iterate ``k`` is
         ``x_in + [r0, Vhat_{k-1}] y``, ``base = x_in + y_0 r0``."""
         zhat = self.qr.solve(k)
-        y = solve_upper(self.change.view(k, k), zhat)
+        y = solve_upper(self.state.triangle(k), zhat)
         return self.x_in + y[0] * self.r0, y[1:]
 
 

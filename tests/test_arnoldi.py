@@ -260,6 +260,9 @@ def test_small_basis_matches_reference_cgs2_bytes():
         assert state.column(k).tobytes() == col.tobytes()
         H[: k + 2, k] = col
     assert state.hessenberg().tobytes() == H.tobytes()
+    # rsmar1's change of basis: [seed norm e1, H] cut to its leading square
+    e1 = np.eye(steps, 1) * np.linalg.norm(v)
+    assert state.triangle(steps).tobytes() == np.hstack((e1, H[:steps, :-1])).tobytes()
 
 
 def test_delayed_basis_on_grid():

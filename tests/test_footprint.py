@@ -53,14 +53,23 @@ print(rep.iterations, peak_bytes() - before, 8 * 301 * A.shape[0])
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 @pytest.mark.parametrize(
     "method, explicit, bound",
-    [("gmres", True, 1.2), ("gmres", False, 1.12), ("rsmar2", True, 1.28)],
-    ids=["gmres-explicit", "gmres-estimate", "rsmar2-explicit"],
+    [
+        ("gmres", True, 1.12),
+        ("gmres", False, 1.08),
+        ("rsmar2", True, 1.19),
+        ("rsmar1", True, 1.13),
+        ("dgmres", True, 1.19),
+    ],
+    ids=["gmres-explicit", "gmres-estimate", "rsmar2-explicit", "rsmar1-explicit", "dgmres-explicit"],
 )
 def test_gmres_peak_memory_is_close_to_its_basis(method, explicit, bound):
     # A basis regrown by copies holds the old and the new array at once
     # (1.9 times the basis here); one reserved array is written in place.
-    # H is kept once, by Arnoldi: a second copy, for the estimates or the
-    # two-level product, takes the rise to 1.17 and 1.33 times the basis.
+    # H is kept once, by Arnoldi, and the projected factors R and W are
+    # reserved once per cycle.  Second copies of H (for the estimates, the
+    # two-level product or rsmar1's change of basis) and R and W doubled
+    # by copies to 512 x 512 took the rise to 1.14-1.33 times the basis;
+    # with one BLAS thread it reads 1.05 (gmres estimates) to 1.16.
     script = SOLVE_300_STEPS.format(method=method, explicit=explicit)
     iterations, rise, basis = map(int, run_python(script).split())
     assert iterations == 300

@@ -700,10 +700,11 @@ def assert_same_report(got, want):
 @pytest.mark.parametrize("explicit", MODES)
 @pytest.mark.parametrize("method", LONG_METHODS)
 def test_cycle_never_regrows_its_basis(monkeypatch, method, explicit):
-    def grow(state):
-        raise AssertionError(f"basis regrown at step {state.k}")
+    def grow(owner):
+        raise AssertionError(f"{type(owner).__name__} regrown at step {owner.k}")
 
     monkeypatch.setattr(rk.ArnoldiState, "_grow", grow)
+    monkeypatch.setattr(rk.HessenbergQr, "_grow", grow)
     A, b = grid_system()  # n = 100: closure within an unrestarted run
     runs = [dict(maxit=70), dict(maxit=70, restart=40), dict()]
     iterations = [
@@ -722,22 +723,28 @@ def test_refused_reservation_gives_the_same_report(monkeypatch, method, explicit
     A, b = grid_system()
     opts = rk.SolveOptions(tol=1e-14, maxit=45, record_explicit=explicit)
     want = rk.SOLVERS[method](A, b, opts=opts)
-    # The reservation of a 45-step cycle: 47 basis vectors and their H.
-    # Refusing either gives the 32-row pair.
-    for name, shape in (("empty", (47, 100)), ("zeros", (48, 47))):
+    # The reservation of a 45-step cycle: 47 basis vectors and their
+    # [beta e1, H], then R and W of each factor for 45 columns.  Refusing
+    # either of the first two gives the 32-row pair; refusing R, or W once
+    # R was granted, starts both factors at order 8.
+    cases = [("empty", (47, 100), 0), ("zeros", (48, 48), 0)]
+    cases += [("zeros", (45, 45), 0), ("zeros", (45, 45), 1)]
+    for name, shape, granted in cases:
         allocate = getattr(np, name)
-        refused = []
+        asked_for = []
 
         def refusing(asked, *args, **kwargs):
             if asked == shape:
-                refused.append(asked)
-                raise MemoryError
+                asked_for.append(asked)
+                if len(asked_for) > granted:
+                    raise MemoryError
             return allocate(asked, *args, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(np, name, refusing)
             got = rk.SOLVERS[method](A, b, opts=opts)
-        assert refused and got.iterations > 32  # the fallback arrays had to grow
+        # a refusal happened, and the fallback arrays had to grow
+        assert len(asked_for) > granted and got.iterations > 32
         assert_same_report(got, want)
 
 

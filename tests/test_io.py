@@ -744,6 +744,53 @@ def test_cli_generate_random_kinds(tmp_path):
         assert A.shape == (int(n), int(n))
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["random-skew", "--n", "11", "--cond", "5"], "--cond", id="skew-cond"),
+        pytest.param(["random-skew", "--n", "11", "--rank", "5"], "--rank", id="skew-rank"),
+        pytest.param(["random-skew", "--n", "11", "--m", "3"], "--m", id="skew-m"),
+        pytest.param(["random-rs", "--m", "3"], "--m", id="rs-m"),
+        pytest.param(["random-sym", "--d", "1"], "--d", id="sym-d"),
+        pytest.param(["bvp", "--m", "5", "--n", "11"], "--n", id="bvp-n"),
+        pytest.param(["bvp", "--m", "5", "--rank", "5"], "--rank", id="bvp-rank"),
+        pytest.param(["bvp", "--m", "5", "--cond", "5"], "--cond", id="bvp-cond"),
+        pytest.param(["bvp", "--m", "5", "--seed", "3"], "--seed", id="bvp-seed"),
+        pytest.param(
+            ["bvp", "--m", "5", "--seed", "3", "--rhs-kind", "xy", "--rhs-out", "b.txt"],
+            "--seed",
+            id="bvp-seed-xy",
+        ),
+        pytest.param(
+            ["random-rs", "--rhs-kind", "xy", "--rhs-out", "b.txt"], "--rhs-kind", id="rs-rhs-kind"
+        ),
+    ],
+)
+def test_cli_generate_rejects_options_of_other_kinds(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["generate", *argv, "--out", "a.mtx"]) == 1
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_generate_takes_the_options_of_its_kind(tmp_path):
+    def generate(*argv):
+        assert cli_main(["generate", *argv, "--out", str(tmp_path / "a.mtx")]) == 0
+        return read_matrix_market(tmp_path / "a.mtx")
+
+    rhs = ["--rhs-kind", "consistent-random", "--rhs-out", str(tmp_path / "b.txt")]
+    rhs_by_seed = []
+    for seed in ([], ["--seed", "0"], ["--seed", "3"]):
+        generate("bvp", "--m", "4", "--d", "2", *seed, *rhs)
+        rhs_by_seed.append(read_vector(tmp_path / "b.txt"))
+    default, zero, three = rhs_by_seed
+    assert np.array_equal(default, zero) and not np.array_equal(zero, three)
+    skew = generate("random-skew", "--n", "9", "--seed", "4")
+    assert skew.shape == (9, 9) and abs(skew + skew.T).max() == 0.0
+    A = generate("random-rs", "--n", "12", "--rank", "6", "--cond", "5", "--seed", "4")
+    assert np.linalg.matrix_rank(A.toarray()) == 6
+
+
 def test_cli_scale_flag(tmp_path, capsys):
     mtx = tmp_path / "a.mtx"
     cli_main(["generate", "bvp", "--m", "5", "--out", str(mtx)])
