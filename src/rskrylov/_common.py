@@ -13,7 +13,6 @@ from .operators import (
     SINGULAR_FINAL_SYSTEM,
     CountingOperator,
     SolveOptions,
-    SolveReport,
     as_vector,
 )
 
@@ -104,35 +103,3 @@ def maybe_lift(hist, x, x0, r, arn, res_floor, termination):
         return None
     return lift(x, x0, r)
 
-
-def _trivial_report(method, A, x0, beta1, hist):
-    """Report of a run whose initial residual is already at the floor."""
-    hist.append(beta1, 0.0, beta1, A.count)
-    return build_report(
-        method, x0, None, hist, A.count, CONVERGED, "residual", None
-    )
-
-
-def build_report(
-    method,
-    x,
-    lifted,
-    hist,
-    matvec_count,
-    termination,
-    stop_rule,
-    detected_ell,
-):
-    return SolveReport(
-        method=method,
-        solution=x,
-        lifted_solution=lifted,
-        residual_history=np.asarray(hist.res),
-        aresidual_history=np.asarray(hist.ares),
-        estimate_history=np.asarray(hist.est),
-        matvec_history=np.asarray(hist.mv, dtype=np.int64),
-        matvec_count=int(matvec_count),
-        termination=termination,
-        stop_rule=stop_rule,
-        detected_ell=detected_ell,
-    )

@@ -266,7 +266,7 @@ def _cmd_solve(args):
         print("  lifted solution available (inconsistent termination)")
     if args.history:
         rec = HistoryRecord.from_report(report, explicit=opts.record_explicit)
-        write_history_csv([rec], args.history, explicit=opts.record_explicit)
+        write_history_csv([rec], args.history)
         print(f"  history written to {args.history}")
     if args.out:
         x = report.solution
@@ -291,12 +291,11 @@ def _cmd_compare(args):
         report = SOLVERS[method](A, b, x0=x0, opts=opts)
         elapsed = time.perf_counter() - t0
         records.append(HistoryRecord.from_report(report, explicit=opts.record_explicit))
-        ares = report.aresidual_history
         print(
             f"{method}: iterations={report.iterations} termination={report.termination} "
-            f"|Ar|/|Ar0|={ares[-1] / max(ares[0], 1e-300):.2e} time={elapsed:.3f}s"
+            f"|Ar|={_norm_text(report.aresidual_history)} time={elapsed:.3f}s"
         )
-    write_history_csv(records, args.out, explicit=opts.record_explicit)
+    write_history_csv(records, args.out)
     print(f"joint history written to {args.out}")
     return 0
 

@@ -60,8 +60,6 @@ import numpy as np
 from ._common import (
     LIFT_RHO,
     Histories,
-    _trivial_report,
-    build_report,
     explicit_norms,
     maybe_lift,
     norm,
@@ -74,7 +72,13 @@ from .hessenberg_qr import (
     HessenbergQrWithQ,
     SingularTriangularError,
 )
-from .operators import CONVERGED, HAPPY_BREAKDOWN, MAXIT, SINGULAR_FINAL_SYSTEM
+from .operators import (
+    CONVERGED,
+    HAPPY_BREAKDOWN,
+    MAXIT,
+    SINGULAR_FINAL_SYSTEM,
+    SolveReport,
+)
 
 __all__ = ["gmres_solve", "rrgmres_solve", "dgmres_solve"]
 
@@ -112,7 +116,8 @@ class _Subproblem:
     minimized norm in ``(|r|, |A r|)``), ``lift`` (the final iterate may
     need the rank-one lift), ``keeps_basis`` (a Krylov basis is kept:
     ``opts.restart`` applies, :meth:`iterate` rebuilds any iterate of the
-    cycle and delayed Arnoldi steps can sum one) and ``polish`` (steps run
+    cycle and a delayed Arnoldi step can sum one, when
+    :meth:`_Monitor.record` hands it one) and ``polish`` (steps run
     on past the A-residual floor before the best iterate is returned).
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
@@ -176,17 +181,6 @@ class _Subproblem:
         """Iterate ``k`` from its :meth:`coefficients`."""
         base, z = self.coefficients(k)
         return base + self.state.basis(len(z)) @ z
-
-    def delays(self, budget):
-        """Whether a cycle of ``budget`` steps reaches the delayed Arnoldi
-        steps (see :mod:`rskrylov.arnoldi`), whose pass over the basis can
-        sum an iterate on its way: whether its last step is delayed."""
-        return self.keeps_basis and _block_rows(budget, self.A.n) > 0
-
-    def delayed_next(self):
-        """Whether the next step runs a delayed Arnoldi pass."""
-        state = self.state
-        return not state.broke_down and _block_rows(state.k, state.n) > 0
 
     def closure(self, k):
         """The exact solve of the square system at subspace closure."""
@@ -301,7 +295,7 @@ class _TwoLevel(_Subproblem):
         return self.outer.append_column(htcol)
 
     def coefficients(self, k):
-        return self.x_in, self.inner.apply_rinv(self.outer.solve(k), k)
+        return self.x_in, self.inner.solve(k, self.outer.solve(k))
 
     def closure(self, k):
         # The square Hessenberg is nonsingular on index-1 systems; dgmres
@@ -328,19 +322,18 @@ class _Monitor:
     growth guard, the closure guard, the polish past the A-residual floor
     and the ``maxit`` tail.  Every exit goes through :meth:`_end`.
 
-    When step ``k + 1`` runs a delayed Arnoldi pass, :meth:`record`
-    leaves the sum ``V z`` of iterate ``k`` to that pass and
-    :meth:`advance` checks the iterate, with the same rules, before
-    anything of step ``k + 1``: the pass reads the basis once for both,
-    and a check that ends the cycle there has spent that step's product
-    with ``A``.
+    :meth:`record` decides from the Arnoldi state whether step ``k + 1``
+    runs a delayed Arnoldi pass.  If so, it leaves the sum ``V z`` of
+    iterate ``k`` to that pass and :meth:`advance` checks the iterate,
+    with the same rules, before anything of step ``k + 1``: the pass
+    reads the basis once for both, and a check that ends the cycle there
+    has spent that step's product with ``A``.
     """
 
     def __init__(self, sub, budget):
         self.sub, self.A, self.b = sub, sub.A, sub.b
         self.hist, self.floors = sub.hist, sub.floors
-        # record(k) for k below this may leave its sum to a delayed pass
-        self.defer_below = budget if sub.delays(budget) else 0
+        self.budget = budget
         self.deferred = None  # (k, est, x) of the iterate the pass sums
         self.row0 = len(self.hist.res) - 1  # history row of iterate 0
         arn = sub.beta_hat if sub.minimized else np.inf
@@ -387,11 +380,17 @@ class _Monitor:
         return _CycleResult(x, r, termination, stop_rule, ell, iters, arn)
 
     def record(self, k, est):
-        """Check iterate ``k``, or hand its coefficients to the next
-        step's delayed Arnoldi pass and check it in :meth:`advance`."""
+        """Check iterate ``k``, or, when step ``k + 1`` of a kept basis
+        runs inside the cycle as a delayed Arnoldi pass, hand that pass
+        the coefficients of iterate ``k`` and check it in :meth:`advance`."""
         sub = self.sub
         try:
-            if k < self.defer_below and sub.delayed_next():
+            if (
+                k < self.budget
+                and sub.keeps_basis
+                and not sub.state.broke_down
+                and _block_rows(sub.state.k, sub.state.n) > 0
+            ):
                 base, z = sub.coefficients(k)
                 x = base.copy()
                 sub.ride = (z, x)
@@ -626,28 +625,41 @@ def _solve(method, kind, A, b, x0, opts, options):
     A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
     hist = Histories()
     beta1 = norm(r0)
-    if beta1 <= opts.breakdown_tol:
-        return _trivial_report(method, A, x0, beta1, hist)
-    # The initial estimate is of the minimized norm (|A r0| comes later).
-    hist.append(beta1, np.nan, np.nan if kind.minimized else beta1, A.count)
-    floors = {"res": opts.tol * beta1, "ares": None}
-    budget = opts.maxit if opts.maxit is not None else A.n
-    restart = opts.restart if kind.keeps_basis else None
-    x, r = x0, r0
-    while True:
-        size = budget if restart is None else min(restart, budget)
-        result = _cycle(kind(A, b, x, r, opts, floors, hist), size)
-        budget -= result.iters
-        x, r = result.x, result.r
-        if result.termination != MAXIT or budget <= 0 or restart is None:
-            break
     lifted = None
-    if kind.lift:
-        lifted = maybe_lift(
-            hist, x, x0, r, result.arn, floors["res"], result.termination
-        )
-    ending = (result.termination, result.stop_rule, result.detected_ell)
-    return build_report(method, x, lifted, hist, A.count, *ending)
+    if beta1 <= opts.breakdown_tol:
+        hist.append(beta1, 0.0, beta1, A.count)
+        result = _CycleResult(x0, r0, CONVERGED, "residual", None, 0, 0.0)
+    else:
+        # The initial estimate is of the minimized norm (|A r0| comes later).
+        hist.append(beta1, np.nan, np.nan if kind.minimized else beta1, A.count)
+        floors = {"res": opts.tol * beta1, "ares": None}
+        budget = opts.maxit if opts.maxit is not None else A.n
+        restart = opts.restart if kind.keeps_basis else None
+        x, r = x0, r0
+        while True:
+            size = budget if restart is None else min(restart, budget)
+            result = _cycle(kind(A, b, x, r, opts, floors, hist), size)
+            budget -= result.iters
+            x, r = result.x, result.r
+            if result.termination != MAXIT or budget <= 0 or restart is None:
+                break
+        if kind.lift:
+            lifted = maybe_lift(
+                hist, x, x0, r, result.arn, floors["res"], result.termination
+            )
+    return SolveReport(
+        method=method,
+        solution=result.x,
+        lifted_solution=lifted,
+        residual_history=np.asarray(hist.res),
+        aresidual_history=np.asarray(hist.ares),
+        estimate_history=np.asarray(hist.est),
+        matvec_history=np.asarray(hist.mv, dtype=np.int64),
+        matvec_count=int(A.count),
+        termination=result.termination,
+        stop_rule=result.stop_rule,
+        detected_ell=result.detected_ell,
+    )
 
 
 def gmres_solve(A, b, x0=None, opts=None, **options):

@@ -19,7 +19,8 @@ every diagonal entry of ``R`` is nonnegative, which makes the factors
 deterministic.
 
 A solve of the leading ``size x size`` block (``0 <= size <= k``, a
-``ValueError`` otherwise) raises :class:`SingularTriangularError` when
+``ValueError`` otherwise), against ``t`` or an ``rhs`` the caller passes
+to :meth:`HessenbergQr.solve`, raises :class:`SingularTriangularError` when
 the smallest ``|R[i, i]|`` of the block is at most ``1e-14`` times the
 largest.  Both extremes are recorded for every leading block as its
 column is appended (running minimum and maximum), so the guard costs O(1)
@@ -126,6 +127,8 @@ class HessenbergQr:
     where ``g`` collects the RHS entries passed to :meth:`append_column`.
     The norm of the last ``band`` entries of ``t``, which
     :meth:`append_column` returns, is the subproblem's minimal residual.
+    The factor starts empty and grows by appends only; nothing replaces
+    it.
     ``_lo[j]`` and ``_hi[j]`` are the smallest and largest ``|R[i, i]|``
     over ``i <= j`` (``nan`` once a ``nan`` enters, as ``np.min`` and
     ``np.max`` give).
@@ -139,7 +142,8 @@ class HessenbergQr:
             self._r, self._w = np.zeros(shape), np.zeros(shape)
         except MemoryError:
             self._r, self._w = np.zeros((8, 8)), np.zeros((8, 8))
-        self.rcols = []  # an empty factor
+        self.k = self._wk = 0  # columns of R and of W in use
+        self._lo, self._hi = [], []
         self.rotations = []  # (row, c, s) acting on (row, row + 1), in order
         self.t = np.asarray(rhs_seed, dtype=np.float64).reshape(self.band).tolist()
 
@@ -161,20 +165,6 @@ class HessenbergQr:
     def _grow(self):
         """Double the order of ``R`` and ``W``, copying them."""
         self._r, self._w = (np.pad(a, (0, len(a))) for a in (self._r, self._w))
-
-    @property
-    def rcols(self):
-        """Columns of the triangular factor (column ``j`` has ``j + 1``
-        entries); assigning a list of columns replaces the factor and
-        discards ``W``."""
-        return [self._r[: j + 1, j] for j in range(self.k)]
-
-    @rcols.setter
-    def rcols(self, cols):
-        self.k = self._wk = 0  # columns of R and of W in use
-        self._lo, self._hi = [], []
-        for col in cols:
-            self._push(col)
 
     def r_matrix(self, size=None):
         """Dense triangular factor (leading ``size`` columns)."""
@@ -209,20 +199,16 @@ class HessenbergQr:
         _rotate_rows(rows, self.rotations)
         return np.array(rows).T
 
-    def solve(self, size=None):
-        """Solve ``R z = t[:size]``.
+    def solve(self, size=None, rhs=None):
+        """Solve ``R z = t[:size]``, or ``R z = rhs[:size]`` for a given
+        ``rhs`` of at least ``size`` entries (the two-level factorization
+        undoes its inner factor so).
 
         Raises :class:`SingularTriangularError` when the leading diagonal
         spread exceeds the relative floor; GMRES maps that condition to a
         ``singular_final_system`` termination on inconsistent systems.
         """
-        return self._solve(self.t, size)
-
-    def apply_rinv(self, rhs, size=None):
-        """Solve ``R z = rhs`` for an arbitrary right-hand side of at least
-        ``size`` entries (used by the two-level factorization to undo the
-        inner factor)."""
-        return self._solve(rhs, size)
+        return self._solve(self.t if rhs is None else rhs, size)
 
     def solve_rhs(self, rhs):
         """Least squares solve of the current factorization against an

@@ -44,21 +44,20 @@ class HistoryRecord:
         )
 
 
-def write_history_csv(records, path, explicit=True):
+def write_history_csv(records, path):
     """Write history records to a UTF-8 CSV file.
 
     The first line is a comment recording whether the residual columns
-    hold explicitly recomputed norms or recurrence estimates (all records
-    of one file are of one kind; the last row of an estimated record
-    holds the explicit norms of its answer).  Numbers use the shortest
-    round-trip decimal representation.
+    hold explicitly recomputed norms or recurrence estimates, read from
+    the records' ``explicit`` (a file without records says explicit).
+    All records of one file are of one kind, a ``ValueError`` otherwise;
+    the last row of an estimated record holds the explicit norms of its
+    answer.  Numbers use the shortest round-trip decimal representation.
     """
     records = list(records)
-    for rec in records:
-        if rec.explicit != explicit:
-            raise ValueError(
-                "cannot mix explicit and estimated histories in one file"
-            )
+    explicit = all(rec.explicit for rec in records)
+    if any(rec.explicit != explicit for rec in records):
+        raise ValueError("cannot mix explicit and estimated histories in one file")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# residuals: {'explicit' if explicit else 'estimated'}\n")
         writer = csv.writer(fh)

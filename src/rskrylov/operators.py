@@ -175,10 +175,15 @@ class SolveOptions:
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("maxit", "restart"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
+            if value is not None and (
+                not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            ):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1")
+        flag = self.record_explicit
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ValueError(f"record_explicit must be a bool, got {flag!r}")
 
 
 @dataclass

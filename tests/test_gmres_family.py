@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rskrylov as rk
+from rskrylov import hessenberg_qr
 from conftest import make_criterion07_instance
 
 
@@ -715,6 +716,22 @@ def test_cycle_never_regrows_its_basis(monkeypatch, method, explicit):
     # cycles longer than n reserve n rows
     A, _, b_cons, _ = make_inconsistent(3, n=40, rank=30)
     rk.SOLVERS[method](A, b_cons, tol=1e-14, maxit=200, record_explicit=explicit)
+
+
+def test_back_substitution_without_the_private_lapack_kernel(monkeypatch):
+    # A numpy without _umath_linalg.solve1 solves the diagonal blocks of
+    # solve_upper with np.linalg.solve, which calls the same kernel.
+    rng = np.random.default_rng(5)
+    reserved = np.triu(rng.standard_normal((80, 80))) + 4.0 * np.eye(80)
+    R, rhs = reserved[:65, :65], rng.standard_normal(65)  # three blocks, strided
+    A, b = grid_system()
+    want_z = hessenberg_qr.solve_upper(R, rhs)
+    want = rk.rsmar1_solve(A, b, tol=1e-14)
+    assert want.iterations > 32  # rsmar1 back-substitutes every step
+    monkeypatch.setattr(hessenberg_qr, "_gesv", np.linalg.solve)
+    got_z = hessenberg_qr.solve_upper(R, rhs)
+    assert got_z.dtype == want_z.dtype and got_z.tobytes() == want_z.tobytes()
+    assert_same_report(rk.rsmar1_solve(A, b, tol=1e-14), want)
 
 
 @pytest.mark.parametrize("explicit", MODES)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import threading
@@ -480,7 +481,11 @@ def test_history_mode_mixing_rejected(tmp_path):
         explicit=False,
     )
     with pytest.raises(ValueError):
-        write_history_csv([rec], tmp_path / "h.csv", explicit=True)
+        write_history_csv([dataclasses.replace(rec, explicit=True), rec], tmp_path / "h.csv")
+    # the mode is the records': estimated here, explicit for no records
+    for records, comment in (([rec], "# residuals: estimated"), ([], "# residuals: explicit")):
+        write_history_csv(records, tmp_path / "h.csv")
+        assert read_history_csv(tmp_path / "h.csv")[0] == comment
 
 
 def test_cli_generate_solve_check(tmp_path):
@@ -600,6 +605,25 @@ def test_cli_solve_says_when_the_answers_aresidual_was_not_checked(tmp_path, cap
     out = capsys.readouterr().out
     assert "termination=maxit" in out
     assert "|Ar|=not checked" in out
+    assert "nan" not in out
+
+
+def test_cli_compare_says_when_an_aresidual_was_not_checked(tmp_path, capsys):
+    # estimate-mode gmres and rrgmres stop on the residual rule, which
+    # checks only the answer's |r|
+    mtx, rhs = tmp_path / "a.mtx", tmp_path / "b.txt"
+    assert cli_main(
+        ["generate", "bvp", "--m", "10", "--rhs-kind", "consistent-random",
+         "--out", str(mtx), "--rhs-out", str(rhs)]
+    ) == 0
+    capsys.readouterr()
+    rc = cli_main(
+        ["compare", "--methods", "gmres,rrgmres", "--estimates", "--matrix", str(mtx),
+         "--rhs", str(rhs), "--out", str(tmp_path / "c.csv")]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("|Ar|=not checked") == 2
     assert "nan" not in out
 
 

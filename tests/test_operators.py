@@ -52,9 +52,13 @@ def test_solve_options_validation():
             with pytest.raises(ValueError, match=name):
                 rk.SolveOptions(**{name: value})
     for name in ("maxit", "restart"):
-        for value in (10.5, np.float64(10)):
+        for value in (10.5, np.float64(10), True, np.True_):
             with pytest.raises(ValueError, match=name):
                 rk.SolveOptions(**{name: value})
+    for value in ("no", 0, 1, None, np.int64(1)):
+        with pytest.raises(ValueError, match="record_explicit"):
+            rk.SolveOptions(record_explicit=value)
+    assert rk.SolveOptions(record_explicit=np.False_).record_explicit == np.False_
     opts = rk.SolveOptions(tol=1e-8, maxit=10, restart=5)
     assert opts.tol == 1e-8
     opts = rk.SolveOptions(maxit=np.int64(10), restart=np.int32(5))
