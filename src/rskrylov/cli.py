@@ -265,7 +265,7 @@ def _cmd_solve(args):
     if report.lifted_solution is not None:
         print("  lifted solution available (inconsistent termination)")
     if args.history:
-        rec = HistoryRecord.from_report(report, explicit=opts.record_explicit)
+        rec = HistoryRecord.from_report(report)
         write_history_csv([rec], args.history)
         print(f"  history written to {args.history}")
     if args.out:
@@ -290,7 +290,7 @@ def _cmd_compare(args):
         t0 = time.perf_counter()
         report = SOLVERS[method](A, b, x0=x0, opts=opts)
         elapsed = time.perf_counter() - t0
-        records.append(HistoryRecord.from_report(report, explicit=opts.record_explicit))
+        records.append(HistoryRecord.from_report(report))
         print(
             f"{method}: iterations={report.iterations} termination={report.termination} "
             f"|Ar|={_norm_text(report.aresidual_history)} time={elapsed:.3f}s"

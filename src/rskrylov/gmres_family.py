@@ -659,6 +659,7 @@ def _solve(method, kind, A, b, x0, opts, options):
         termination=result.termination,
         stop_rule=result.stop_rule,
         detected_ell=result.detected_ell,
+        record_explicit=bool(opts.record_explicit),
     )
 
 

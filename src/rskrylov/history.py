@@ -33,14 +33,16 @@ class HistoryRecord:
             raise ValueError("history columns must have equal lengths")
 
     @classmethod
-    def from_report(cls, report, explicit=True):
+    def from_report(cls, report):
+        """The record of a :class:`SolveReport`, explicit or estimated as
+        its solve monitored."""
         return cls(
             method=report.method,
             res_norms=np.asarray(report.residual_history),
             ares_norms=np.asarray(report.aresidual_history),
             matvecs=np.asarray(report.matvec_history),
             termination=report.termination,
-            explicit=explicit,
+            explicit=report.record_explicit,
         )
 
 

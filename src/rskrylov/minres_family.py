@@ -21,6 +21,20 @@ retained, and ``opts.restart`` is ignored.
 The rotated tridiagonal factor turning numerically singular, or the
 Lanczos process closing, is a subspace closure.
 
+A step writes its vector algebra in place, in the order of the binary
+operations it replaces, so every float is that of the plain formulas.
+The operator's output, which the solver owns (see
+:class:`rskrylov.operators.LinearOperator`), becomes the next Lanczos
+vector.  One scratch vector reserved by ``seed`` and the vectors the
+step retires take the other writes: minres's previous Lanczos vector,
+and its oldest direction vector ``w2``, which the new direction vector
+``w_dir`` replaces (``w_dir`` is written into the scratch vector, and
+``w2`` becomes the next scratch vector); minares's oldest direction
+vector ``p2``, which takes the new ``p``, and ``w_prev``, which takes
+``w_next``.  A step allocates only the new iterate ``x``: the monitors
+hold the one before, and estimate mode may hold a best iterate, so no
+iterate is ever written.
+
 On singular symmetric systems with an inconsistent right-hand side both
 methods stop at the same terminal least squares iterate, and the rank-one
 lift stored in ``lifted_solution`` recovers the pseudoinverse solution.
@@ -75,15 +89,19 @@ class _Minres(_ShortRecurrence):
         self.w1, self.w2 = np.zeros(n), np.zeros(n)
         self.x = self.x_in
         self.tscale = 0.0
+        self.scratch = np.empty(n)
 
     def step(self, k):
         self.x_prev, self.steps = self.x, k
-        v = self.v
+        v, t = self.v, self.scratch
         w = self.A.apply(v)
         if k == 1:
             self.anchor(self.beta1 * norm(w))
         alpha = float(v @ w)
-        w -= alpha * v + self.beta_k * self.v_prev
+        # w -= alpha v + beta_k v_prev; v_prev is not needed after this
+        np.multiply(v, alpha, out=t)
+        t += np.multiply(self.v_prev, self.beta_k, out=self.v_prev)
+        w -= t
         beta_next = norm(w)
 
         # Rotate column k of the tridiagonal factor.
@@ -104,13 +122,21 @@ class _Minres(_ShortRecurrence):
         c, s = gamma_t / gamma, beta_next / gamma
         phi = c * self.phi_bar
         self.phi_bar = -s * self.phi_bar
-        w_dir = (v - delta * self.w1 - eps * self.w2) / gamma
-        self.x = self.x + phi * w_dir
+        # w_dir = (v - delta w1 - eps w2) / gamma and x = x + phi w_dir;
+        # w_dir is written into the scratch vector, the retired w2 is next
+        w_dir = np.multiply(self.w1, delta, out=t)
+        np.subtract(v, w_dir, out=w_dir)
+        w_dir -= np.multiply(self.w2, eps, out=self.w2)
+        w_dir /= gamma
+        x = w_dir * phi
+        x += self.x
+        self.x = x
         if not self.closed:
-            self.v_prev, self.v = v, w / beta_next
+            w /= beta_next
+            self.v_prev, self.v = v, w
             self.beta_k = beta_next
             self.c2, self.s2, self.c1, self.s1 = self.c1, self.s1, c, s
-            self.w2, self.w1 = self.w1, w_dir
+            self.w2, self.w1, self.scratch = self.w1, w_dir, self.w2
         return abs(self.phi_bar)
 
     def ares_estimate(self, k):
@@ -143,15 +169,17 @@ class _Minares(_ShortRecurrence):
         self.beta_k = beta_hat
         self.x = self.x_in
         self.tscale = 0.0
+        self.scratch = np.empty(n)
 
     def step(self, k):
         self.x_prev, self.steps = self.x, k
-        vhat = self.vhat
-        av = self.A.apply(vhat)
-        nav = norm(av)
-        v_next = av - self.beta_k * self.vhat_prev
+        vhat, t = self.vhat, self.scratch
+        # v_next = A vhat - beta_k vhat_prev - alpha vhat, in A's output
+        v_next = self.A.apply(vhat)
+        nav = norm(v_next)
+        v_next -= np.multiply(self.vhat_prev, self.beta_k, out=t)
         alpha = float(vhat @ v_next)
-        v_next -= alpha * vhat
+        v_next -= np.multiply(vhat, alpha, out=t)
         beta_next = norm(v_next)
         self.tscale = max(self.tscale, abs(alpha) + beta_next, nav)
 
@@ -168,12 +196,24 @@ class _Minares(_ShortRecurrence):
         c, s = delta_tilde / delta, beta_next / delta
         t_hat = c * self.t_tilde
         self.t_tilde = s * self.t_tilde
-        p = (self.w - self.eta * self.p2 - lam * self.p1) / delta
-        self.x = self.x + t_hat * p
+        # p = (w - eta p2 - lam p1) / delta, in p2, which it retires, and
+        # x = x + t_hat p
+        p = np.multiply(self.p2, self.eta, out=self.p2)
+        np.subtract(self.w, p, out=p)
+        p -= np.multiply(self.p1, lam, out=t)
+        p /= delta
+        x = p * t_hat
+        x += self.x
+        self.x = x
         if not self.closed:
-            # The w update divides by beta_next, which vanishes at closure.
-            w_next = (vhat - self.beta_k * self.w_prev - alpha * self.w) / beta_next
-            self.vhat_prev, self.vhat = vhat, v_next / beta_next
+            # The w update divides by beta_next, which vanishes at closure:
+            # w_next = (vhat - beta_k w_prev - alpha w) / beta_next, in w_prev
+            w_next = np.multiply(self.w_prev, self.beta_k, out=self.w_prev)
+            np.subtract(vhat, w_next, out=w_next)
+            w_next -= np.multiply(self.w, alpha, out=t)
+            w_next /= beta_next
+            v_next /= beta_next
+            self.vhat_prev, self.vhat = vhat, v_next
             self.w_prev, self.w = self.w, w_next
             self.p2, self.p1 = self.p1, p
             self.beta_k = beta_next

@@ -9,9 +9,11 @@ wrapped in a :class:`LinearOperator`.
 A matrix is checked once, when it is wrapped: a non-finite entry is a
 ``ValueError``.  The solvers then apply it without further checks.  The
 output of a user-supplied ``LinearOperator`` callable is checked on every
-apply instead: it is converted to a contiguous float64 vector, its length
-must be ``n`` and its entries finite (a ``ValueError`` otherwise, raised
-at the first apply that breaks the rule).
+apply instead: it is copied into a new contiguous float64 vector, its
+length must be ``n`` and its entries finite (a ``ValueError`` otherwise,
+raised at the first apply that breaks the rule).  The solvers own every
+vector an apply returns: they write into it and keep it across later
+applies, so the callable may return its argument or reuse one buffer.
 
 All of these objects are treated as immutable after construction: the
 solvers never write into ``A``, ``b`` or ``x0``, so one system may be
@@ -64,11 +66,13 @@ class LinearOperator:
         Dimension of the (square) operator.
     apply_fn : callable
         Maps a length-``n`` vector to a length-``n`` vector.  Must be
-        deterministic and linear up to rounding.
+        deterministic and linear up to rounding, and must not write into
+        its argument.  Its output is copied, so it may be the argument
+        itself or a buffer that every call reuses.
     """
 
     # Whether ``_apply`` is a matrix product known to map a contiguous
-    # float64 vector to a new one, whose output needs no check.
+    # float64 vector to a new one, whose output needs no check or copy.
     _product = False
 
     def __init__(self, n, apply_fn):
@@ -77,7 +81,8 @@ class LinearOperator:
 
     def apply(self, v):
         v = as_vector(v, self.n)
-        out = as_vector(self._apply(v), self.n)
+        # A copy the caller owns: the solvers update it in place.
+        out = as_vector(np.array(self._apply(v), dtype=np.float64), self.n)
         if not np.isfinite(out).all():
             raise ValueError("LinearOperator output has non-finite entries")
         return out
@@ -94,7 +99,7 @@ def aslinearoperator(A):
 
     A matrix with a non-finite entry is rejected with ``ValueError``.  The
     entries behind a ``LinearOperator`` are not visible; its outputs are
-    converted and their length and entries checked on every apply instead.
+    copied and their length and entries checked on every apply instead.
     """
     if isinstance(A, LinearOperator):
         return A
@@ -206,7 +211,9 @@ class SolveReport:
     step's matvec too.
     ``detected_ell`` is the maximal Krylov dimension found
     by the underlying orthogonalization process (for the seed the method
-    uses), if the run reached it.
+    uses), if the run reached it.  ``record_explicit`` is the monitoring
+    mode of the solve (``SolveOptions.record_explicit``): whether the
+    histories hold explicit norms or estimates.
     """
 
     method: str
@@ -220,6 +227,7 @@ class SolveReport:
     termination: str
     stop_rule: str | None = None
     detected_ell: int | None = None
+    record_explicit: bool = True
 
     @property
     def iterations(self):
@@ -231,7 +239,7 @@ class CountingOperator(LinearOperator):
 
     The solvers pass it only contiguous float64 vectors of length ``n``,
     so an operator built from a matrix is applied directly; a
-    user-supplied callable still has its output checked and converted.
+    user-supplied callable still has its output copied and checked.
     """
 
     def __init__(self, A):

@@ -1,4 +1,4 @@
-"""Shared instance factories for the test suites.
+"""Shared instance factories and a report comparison for the test suites.
 
 Suite instances are singular range-symmetric systems with a closed-form
 pseudoinverse.  Nonsymmetric members come straight from the random
@@ -13,6 +13,16 @@ import numpy as np
 import pytest
 
 import rskrylov as rk
+
+
+def assert_same_report(got, want):
+    """Every field of two solve reports equal, arrays to the byte."""
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype and other.tobytes() == value.tobytes(), name
+        else:
+            assert other == value, name
 
 
 def make_suite_instance(seed):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import rskrylov as rk
 from rskrylov import hessenberg_qr
-from conftest import make_criterion07_instance
+from conftest import assert_same_report, make_criterion07_instance
 
 
 def make_inconsistent(seed, n=20, rank=15, cond=100.0, symmetric=False):
@@ -687,15 +687,6 @@ def grid_system(m=10):
     spec = rk.BvpSpec(m=m, d=10.0)
     A = rk.make_bvp_matrix(spec)
     return A, rk.make_bvp_rhs(spec, "consistent_random", 0, A)
-
-
-def assert_same_report(got, want):
-    for name, value in vars(want).items():
-        other = getattr(got, name)
-        if isinstance(value, np.ndarray):
-            assert other.dtype == value.dtype and other.tobytes() == value.tobytes(), name
-        else:
-            assert other == value, name
 
 
 @pytest.mark.parametrize("explicit", MODES)

@@ -458,6 +458,18 @@ def test_history_csv_exact_roundtrip_from_solve(tmp_path):
         assert row["ares_norm"] == rep.aresidual_history[i]
 
 
+@pytest.mark.parametrize("explicit", [True, False])
+def test_history_label_follows_the_report(tmp_path, explicit):
+    # The report records its monitoring mode; estimates and their nan rows
+    # were written under "# residuals: explicit" whatever the mode.
+    rep = rk.gmres_solve(np.diag([1.0, 2, 3, 0]), np.ones(4), record_explicit=explicit)
+    assert rep.record_explicit is explicit
+    path = tmp_path / "h.csv"
+    write_history_csv([HistoryRecord.from_report(rep)], path)
+    comment, _ = read_history_csv(path)
+    assert comment == f"# residuals: {'explicit' if explicit else 'estimated'}"
+
+
 def test_history_csv_byte_deterministic(tmp_path):
     A, _ = rk.make_random_range_symmetric(rk.RandomSpec(n=10, rank=7, seed=3))
     b = A @ np.random.default_rng(3).standard_normal(10)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 import rskrylov as rk
 from rskrylov.operators import as_vector
+from conftest import assert_same_report
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -116,3 +117,35 @@ def test_linear_operator_output_checked_in_a_solve(method):
         with pytest.raises(ValueError, match="output has non-finite entries"):
             rk.SOLVERS[method](nan_op, gauss, record_explicit=explicit)
         assert len(calls) == 6
+
+
+@pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "estimate"])
+@pytest.mark.parametrize("method", sorted(rk.SOLVERS))
+def test_identity_operator_returning_its_argument(method, explicit):
+    # The solvers write into what an apply returns: an operator that
+    # returns its argument, a basis vector, had it overwritten, and five
+    # methods returned a solution at relative error 1 under happy_breakdown.
+    b = np.random.default_rng(0).standard_normal(20)
+    identity = rk.LinearOperator(20, lambda v: v)
+    rep = rk.SOLVERS[method](identity, b, record_explicit=explicit)
+    assert rep.termination == rk.HAPPY_BREAKDOWN
+    assert np.linalg.norm(rep.solution - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "estimate"])
+@pytest.mark.parametrize("method", sorted(rk.SOLVERS))
+def test_operator_reusing_one_buffer_matches_its_matrix(method, explicit):
+    # minres and minares keep the output of one apply as their next
+    # Lanczos vector past the next apply: a reused buffer the operator
+    # does not copy changes their answers (minres ran to maxit).
+    M = rk.make_random_symmetric_singular(rk.RandomSpec(n=30, rank=20, seed=4))
+    b = M @ np.random.default_rng(4).standard_normal(30) + 0.1
+    buf = np.empty(30)
+
+    def into_buffer(v):
+        np.matmul(M, v, out=buf)
+        return buf
+
+    want = rk.SOLVERS[method](M, b, record_explicit=explicit)
+    got = rk.SOLVERS[method](rk.LinearOperator(30, into_buffer), b, record_explicit=explicit)
+    assert_same_report(got, want)
