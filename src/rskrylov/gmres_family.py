@@ -16,6 +16,13 @@ per-step append (the recurrence value of the minimized norm, and whether
 the space closed), the reconstruction of iterate ``k`` and the square
 solve at subspace closure.  One monitor decides everything else.
 
+Each method monitors one of two ways, as ``SolveOptions.record_explicit``
+says; its default, ``None``, takes the subproblem's
+``explicit_default``, resolved once per solve.  Six methods monitor
+with estimates by default.  MINRES checks explicitly by default: on
+consistent symmetric systems its estimate-mode stop can end far from the
+pseudoinverse solution.
+
 With explicit monitoring (:class:`_Monitor`) a run stops once the
 residual norm falls below ``tol * ||r_0||`` or the A-residual norm below
 ``tol * ||A r_0||``.  The best least squares iterate seen (smallest
@@ -53,6 +60,7 @@ neither a restart nor the lift applies ``A`` again.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -117,8 +125,10 @@ class _Subproblem:
     need the rank-one lift), ``keeps_basis`` (a Krylov basis is kept:
     ``opts.restart`` applies, :meth:`iterate` rebuilds any iterate of the
     cycle and a delayed Arnoldi step can sum one, when
-    :meth:`_Monitor.record` hands it one) and ``polish`` (steps run
-    on past the A-residual floor before the best iterate is returned).
+    :meth:`_Monitor.record` hands it one), ``polish`` (steps run
+    on past the A-residual floor before the best iterate is returned)
+    and ``explicit_default`` (the monitoring mode of
+    ``record_explicit=None``).
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
     by :meth:`start`; given the step budget of the cycle), :meth:`step`
@@ -134,6 +144,7 @@ class _Subproblem:
     lift = True
     keeps_basis = True
     polish = 0
+    explicit_default = False
     # (z, x): the coefficients of an iterate whose sum ``x += V z`` the
     # next Arnoldi step completes (see :meth:`_Monitor.record`)
     ride = None
@@ -623,6 +634,8 @@ def _cycle(sub, budget):
 def _solve(method, kind, A, b, x0, opts, options):
     """Restart cycles of subproblem class ``kind`` until one ends the run."""
     A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
+    if opts.record_explicit is None:
+        opts = replace(opts, record_explicit=kind.explicit_default)
     hist = Histories()
     beta1 = norm(r0)
     lifted = None

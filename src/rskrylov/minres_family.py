@@ -76,9 +76,12 @@ class _ShortRecurrence(_Subproblem):
 
 class _Minres(_ShortRecurrence):
     """Residual norm over the space of ``r0``: ``|phi_bar|`` is the residual
-    norm.  Past the A-residual floor it polishes eight more steps."""
+    norm.  Past the A-residual floor it polishes eight more steps.  It
+    checks explicitly by default: on consistent systems its estimate-mode
+    stop can end far from the pseudoinverse solution."""
 
     polish = 8
+    explicit_default = True
 
     def seed(self, budget=None):
         n = self.A.n

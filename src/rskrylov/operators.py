@@ -153,11 +153,16 @@ class SolveOptions:
     breakdown_tol : float
         Threshold below which an Arnoldi/Lanczos continuation vector is
         declared zero (happy breakdown).
-    record_explicit : bool
+    record_explicit : bool, optional
         Recompute ``r_k = b - A x_k`` and ``A r_k`` every iteration and
         record their true norms (two extra matvecs per iteration).  When
         off, histories contain the recurrence estimates instead, with
-        ``nan`` where a method has no cheap estimate.  Either way, for
+        ``nan`` where a method has no cheap estimate.  The default,
+        ``None``, is the method's own choice: estimates for GMRES,
+        RRGMRES, DGMRES, the RSMAR variants and MINARES, explicit norms
+        for MINRES, whose estimate-mode stops on consistent symmetric
+        systems can end far from the pseudoinverse solution.  The
+        report records the mode the solve used.  Either way, for
         all seven methods, the last row holds the explicit norms of the
         returned ``solution``; without explicit monitoring its ``|A r|``
         is ``nan`` after ``maxit`` and after the residual rule of GMRES,
@@ -172,7 +177,7 @@ class SolveOptions:
     maxit: int | None = None
     restart: int | None = None
     breakdown_tol: float = 1e-13
-    record_explicit: bool = True
+    record_explicit: bool | None = None
 
     def __post_init__(self):
         for name in ("tol", "breakdown_tol"):
@@ -187,8 +192,8 @@ class SolveOptions:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1")
         flag = self.record_explicit
-        if not isinstance(flag, (bool, np.bool_)):
-            raise ValueError(f"record_explicit must be a bool, got {flag!r}")
+        if flag is not None and not isinstance(flag, (bool, np.bool_)):
+            raise ValueError(f"record_explicit must be a bool or None, got {flag!r}")
 
 
 @dataclass
@@ -212,8 +217,9 @@ class SolveReport:
     ``detected_ell`` is the maximal Krylov dimension found
     by the underlying orthogonalization process (for the seed the method
     uses), if the run reached it.  ``record_explicit`` is the monitoring
-    mode of the solve (``SolveOptions.record_explicit``): whether the
-    histories hold explicit norms or estimates.
+    mode of the solve (``SolveOptions.record_explicit``, with ``None``
+    resolved to the method's default): whether the histories hold
+    explicit norms or estimates.
     """
 
     method: str

@@ -227,18 +227,18 @@ def test_criterion_08_grid_reproduction():
     b_inc = rk.make_bvp_rhs(spec, "inconsistent_xy")
     ok = True
     for method in ("gmres", "rrgmres", "rsmar2", "dgmres"):
-        rep = rk.SOLVERS[method](A, b_cons, tol=1e-12, maxit=n)
+        rep = rk.SOLVERS[method](A, b_cons, tol=1e-12, maxit=n, record_explicit=True)
         reached = np.min(rep.residual_history) / rep.residual_history[0]
         ok = ok and reached <= 1e-10 and rep.iterations <= n
     ares_final = {}
     for method in ("rrgmres", "rsmar2", "dgmres"):
-        rep = rk.SOLVERS[method](A, b_inc, tol=1e-8, maxit=n)
+        rep = rk.SOLVERS[method](A, b_inc, tol=1e-8, maxit=n, record_explicit=True)
         h = rep.aresidual_history
         ares_final[method] = h[-1] / h[0]
         ok = ok and h[-1] <= 1e-8 * h[0]
         if method == "rsmar2":
             ok = ok and bool(np.all(h[1:] <= h[:-1] * (1 + 1e-12)))
-    rep = rk.gmres_solve(A, b_inc, tol=1e-8, maxit=300)
+    rep = rk.gmres_solve(A, b_inc, tol=1e-8, maxit=300, record_explicit=True)
     h = rep.aresidual_history
     ok = ok and bool(np.any(h[1:] > h[:-1]))  # at least one strict increase
     elapsed = time.perf_counter() - t0

@@ -311,10 +311,11 @@ def test_matvec_count_exact_explicit_mode():
     # iteration (the hat method spends one extra seed matvec, but its
     # closure iterate needs no Arnoldi step)
     A, Ap, b_cons, _ = make_inconsistent(0)
-    rep = rk.gmres_solve(A, b_cons, opts=rk.SolveOptions(tol=1e-6, maxit=60))
+    opts = rk.SolveOptions(tol=1e-6, maxit=60, record_explicit=True)
+    rep = rk.gmres_solve(A, b_cons, opts=opts)
     assert rep.termination == rk.HAPPY_BREAKDOWN
     assert rep.matvec_count == 3 * rep.iterations
-    rep = rk.dgmres_solve(A, b_cons, opts=rk.SolveOptions(tol=1e-6, maxit=60))
+    rep = rk.dgmres_solve(A, b_cons, opts=opts)
     assert rep.termination == rk.HAPPY_BREAKDOWN
     assert rep.matvec_count == 3 * rep.iterations + 1
 
@@ -551,7 +552,7 @@ def test_estimate_mode_stops_where_explicit_mode_does_on_grid(method, rhs, tol):
     spec = rk.BvpSpec(m=20, d=10.0)
     A = rk.make_bvp_matrix(spec)
     b = rk.make_bvp_rhs(spec, rhs, 0, A)
-    explicit = rk.SOLVERS[method](A, b, tol=tol, maxit=400)
+    explicit = rk.SOLVERS[method](A, b, tol=tol, maxit=400, record_explicit=True)
     rep = rk.SOLVERS[method](A, b, tol=tol, maxit=400, record_explicit=False)
     assert abs(rep.iterations - np.argmin(explicit.aresidual_history)) <= 2
     x = rep.lifted_solution if rep.lifted_solution is not None else rep.solution
@@ -675,7 +676,7 @@ def test_grid_m50_explicit_runs_are_pinned(rhs, method):
     # Arnoldi pass; the rules and the decisions are those of a check made
     # at once.
     A, b, options = grid_m50(rhs)
-    rep = rk.SOLVERS[method](A, b, **options)
+    rep = rk.SOLVERS[method](A, b, record_explicit=True, **options)
     lifted = rep.lifted_solution is not None
     got = (rep.iterations, rep.termination, rep.stop_rule, lifted)
     assert got == GRID_M50_EXPLICIT[rhs][method]

@@ -447,7 +447,7 @@ def test_history_csv_rows_and_roundtrip(tmp_path):
 def test_history_csv_exact_roundtrip_from_solve(tmp_path):
     A, _ = rk.make_random_range_symmetric(rk.RandomSpec(n=12, rank=9, seed=0))
     b = A @ np.random.default_rng(0).standard_normal(12)
-    rep = rk.gmres_solve(A, b, tol=1e-10)
+    rep = rk.gmres_solve(A, b, tol=1e-10, record_explicit=True)
     rec = HistoryRecord.from_report(rep)
     path = tmp_path / "h.csv"
     write_history_csv([rec], path)

@@ -56,14 +56,32 @@ def test_solve_options_validation():
         for value in (10.5, np.float64(10), True, np.True_):
             with pytest.raises(ValueError, match=name):
                 rk.SolveOptions(**{name: value})
-    for value in ("no", 0, 1, None, np.int64(1)):
+    for value in ("no", 0, 1, np.int64(1)):
         with pytest.raises(ValueError, match="record_explicit"):
             rk.SolveOptions(record_explicit=value)
     assert rk.SolveOptions(record_explicit=np.False_).record_explicit == np.False_
+    assert rk.SolveOptions(record_explicit=None).record_explicit is None
     opts = rk.SolveOptions(tol=1e-8, maxit=10, restart=5)
     assert opts.tol == 1e-8
     opts = rk.SolveOptions(maxit=np.int64(10), restart=np.int32(5))
     assert np.allclose(rk.gmres_solve(np.eye(2), np.ones(2), opts=opts).solution, 1.0)
+
+
+@pytest.mark.parametrize("rhs", ["consistent", "inconsistent"])
+@pytest.mark.parametrize("method", sorted(rk.SOLVERS))
+def test_default_monitor_is_the_methods_own(method, rhs):
+    # record_explicit=None is resolved once per solve: explicit checks for
+    # minres, estimates for the other six; the report records the bool
+    A = rk.make_random_symmetric_singular(
+        rk.RandomSpec(n=20, rank=15, cond=100.0, seed=3)
+    )
+    b = np.random.default_rng(3).standard_normal(20)
+    if rhs == "consistent":
+        b = A @ b
+    rep = rk.SOLVERS[method](A, b, opts=rk.SolveOptions(tol=1e-10))
+    assert rep.record_explicit is (method == "minres")
+    want = rk.SOLVERS[method](A, b, tol=1e-10, record_explicit=method == "minres")
+    assert_same_report(rep, want)
 
 
 def test_report_iterations_property():

@@ -57,7 +57,7 @@ def test_traced_short_recurrences_count_explicit_norms(method):
     b = np.random.default_rng(4).standard_normal(30)  # inconsistent
     tracer = tracing.Tracer(rk)
     with tracer:
-        rep = rk.SOLVERS[method](A, b, tol=1e-10)
+        rep = rk.SOLVERS[method](A, b, tol=1e-10, record_explicit=True)
     assert rep.iterations >= 5
     assert tracer.stats["common.explicit_norms"][0] >= rep.iterations
     assert tracing.left_wrapped(tracer) == []
@@ -80,7 +80,7 @@ def test_traced_layers_count_every_delayed_step(monkeypatch, method):
     b = rk.make_bvp_rhs(spec, "consistent_random", 0, A)
     tracer = tracing.Tracer(rk)
     with tracer:
-        rep = rk.SOLVERS[method](A, b, tol=1e-12, maxit=400)
+        rep = rk.SOLVERS[method](A, b, tol=1e-12, maxit=400, record_explicit=True)
     stats = tracer.stats
     assert rep.iterations > 65 and len(states) == 1
     assert stats["arnoldi.step"][0] == states[0].k
