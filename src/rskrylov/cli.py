@@ -10,9 +10,10 @@ moderate-size matrices.
 ``--estimates`` and ``--explicit`` choose the monitor of ``solve`` and
 ``compare`` (``SolveOptions.record_explicit``).  Both commands always pass
 a bool, so the library's per-method default (``None``: estimates for all
-but minres) never applies here.  ``solve`` monitors with the matvec-free
-recurrence estimates unless told otherwise, minres included, since its
-product is the answer and the matvec is the cost; ``compare`` records
+but minres and restarted gmres) never applies here.  ``solve`` monitors
+with the matvec-free recurrence estimates unless told otherwise, minres
+and restarted gmres included, since its product is the answer and the
+matvec is the cost; ``compare`` records
 explicit norms, since its product is the joint history, and estimate-mode
 rows of different methods leave different columns ``NaN``.
 """

@@ -21,7 +21,9 @@ says; its default, ``None``, takes the subproblem's
 ``explicit_default``, resolved once per solve.  Six methods monitor
 with estimates by default.  MINRES checks explicitly by default: on
 consistent symmetric systems its estimate-mode stop can end far from the
-pseudoinverse solution.
+pseudoinverse solution.  So does GMRES when ``opts.restart`` is set: on
+inconsistent grids its estimate-mode stop can lift to an answer further
+from the pseudoinverse solution than the explicit one.
 
 With explicit monitoring (:class:`_Monitor`) a run stops once the
 residual norm falls below ``tol * ||r_0||`` or the A-residual norm below
@@ -126,9 +128,10 @@ class _Subproblem:
     ``opts.restart`` applies, :meth:`iterate` rebuilds any iterate of the
     cycle and a delayed Arnoldi step can sum one, when
     :meth:`_Monitor.record` hands it one), ``polish`` (steps run
-    on past the A-residual floor before the best iterate is returned)
-    and ``explicit_default`` (the monitoring mode of
-    ``record_explicit=None``).
+    on past the A-residual floor before the best iterate is returned),
+    ``explicit_default`` (the monitoring mode of ``record_explicit=None``)
+    and ``explicit_when_restarted`` (that mode is explicit whenever
+    ``opts.restart`` is set).
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
     by :meth:`start`; given the step budget of the cycle), :meth:`step`
@@ -145,6 +148,7 @@ class _Subproblem:
     keeps_basis = True
     polish = 0
     explicit_default = False
+    explicit_when_restarted = False
     # (z, x): the coefficients of an iterate whose sum ``x += V z`` the
     # next Arnoldi step completes (see :meth:`_Monitor.record`)
     ride = None
@@ -200,7 +204,11 @@ class _Subproblem:
 
 class _Gmres(_Subproblem):
     """Residual norm over the space of ``r0``; the tail of the rotated
-    right-hand side is the residual norm."""
+    right-hand side is the residual norm.  Restarted, it checks
+    explicitly by default: on inconsistent grids its estimate-mode stop
+    can lift to an answer further from the pseudoinverse solution."""
+
+    explicit_when_restarted = True
 
     def start(self):
         kind = HessenbergQr if self.opts.record_explicit else HessenbergQrWithQ
@@ -634,8 +642,12 @@ def _cycle(sub, budget):
 def _solve(method, kind, A, b, x0, opts, options):
     """Restart cycles of subproblem class ``kind`` until one ends the run."""
     A, b, x0, r0, opts = prepare(A, b, x0, opts, **options)
+    restart = opts.restart if kind.keeps_basis else None
     if opts.record_explicit is None:
-        opts = replace(opts, record_explicit=kind.explicit_default)
+        explicit = kind.explicit_default or (
+            restart is not None and kind.explicit_when_restarted
+        )
+        opts = replace(opts, record_explicit=explicit)
     hist = Histories()
     beta1 = norm(r0)
     lifted = None
@@ -647,7 +659,6 @@ def _solve(method, kind, A, b, x0, opts, options):
         hist.append(beta1, np.nan, np.nan if kind.minimized else beta1, A.count)
         floors = {"res": opts.tol * beta1, "ares": None}
         budget = opts.maxit if opts.maxit is not None else A.n
-        restart = opts.restart if kind.keeps_basis else None
         x, r = x0, r0
         while True:
             size = budget if restart is None else min(restart, budget)

@@ -161,7 +161,9 @@ class SolveOptions:
         ``None``, is the method's own choice: estimates for GMRES,
         RRGMRES, DGMRES, the RSMAR variants and MINARES, explicit norms
         for MINRES, whose estimate-mode stops on consistent symmetric
-        systems can end far from the pseudoinverse solution.  The
+        systems can end far from the pseudoinverse solution, and for
+        GMRES with ``restart`` set, whose estimate-mode stops on
+        inconsistent grids can lift to answers further from it.  The
         report records the mode the solve used.  Either way, for
         all seven methods, the last row holds the explicit norms of the
         returned ``solution``; without explicit monitoring its ``|A r|``

@@ -118,13 +118,9 @@ INCONSISTENT_TOLS = {
 CONSISTENT_TOL = 1e-12
 
 
-@pytest.fixture(scope="session")
-def acceptance_suite():
-    """50 seeded systems plus all solver runs on them, shared across the
-    acceptance criteria.  Returns (instances, runs_inc, runs_cons, wall)
-    where wall is the time spent generating and solving."""
-    t0 = time.perf_counter()
-    instances = [make_suite_instance(seed) for seed in range(50)]
+def _suite_runs(instances, **options):
+    """Every applicable method on each suite system's inconsistent and
+    consistent right-hand side: (runs_inc, runs_cons), dicts by method."""
     runs_inc = []
     runs_cons = []
     for inst in instances:
@@ -135,7 +131,11 @@ def acceptance_suite():
         runs_inc.append(
             {
                 m: rk.SOLVERS[m](
-                    inst["A"], inst["b_inc"], tol=INCONSISTENT_TOLS[m], maxit=maxit
+                    inst["A"],
+                    inst["b_inc"],
+                    tol=INCONSISTENT_TOLS[m],
+                    maxit=maxit,
+                    **options,
                 )
                 for m in methods
             }
@@ -143,9 +143,32 @@ def acceptance_suite():
         runs_cons.append(
             {
                 m: rk.SOLVERS[m](
-                    inst["A"], inst["b_cons"], tol=CONSISTENT_TOL, maxit=maxit
+                    inst["A"],
+                    inst["b_cons"],
+                    tol=CONSISTENT_TOL,
+                    maxit=maxit,
+                    **options,
                 )
                 for m in methods
             }
         )
+    return runs_inc, runs_cons
+
+
+@pytest.fixture(scope="session")
+def acceptance_suite():
+    """50 seeded systems plus all solver runs on them, with default
+    options, shared across the acceptance criteria.  Returns (instances,
+    runs_inc, runs_cons, wall) where wall is the time spent generating
+    and solving."""
+    t0 = time.perf_counter()
+    instances = [make_suite_instance(seed) for seed in range(50)]
+    runs_inc, runs_cons = _suite_runs(instances)
     return instances, runs_inc, runs_cons, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def explicit_acceptance_suite(acceptance_suite):
+    """The acceptance suite's solves with explicit checks, for the criteria
+    on true-norm histories: (runs_inc, runs_cons)."""
+    return _suite_runs(acceptance_suite[0], record_explicit=True)

@@ -108,7 +108,7 @@ def test_dgmres_bvp_matches_oracle():
 def test_residual_monotonicity(method, seed):
     A, Ap, b_cons, b_inc = make_inconsistent(seed)
     for b in (b_cons, b_inc):
-        rep = rk.SOLVERS[method](A, b, tol=1e-10, maxit=80)
+        rep = rk.SOLVERS[method](A, b, tol=1e-10, maxit=80, record_explicit=True)
         h = rep.residual_history
         assert np.all(h[1:] <= h[:-1] * (1 + 1e-12))
 
@@ -117,7 +117,7 @@ def test_residual_monotonicity(method, seed):
 def test_dgmres_aresidual_monotonicity(seed):
     A, Ap, b_cons, b_inc = make_inconsistent(seed)
     for b in (b_cons, b_inc):
-        rep = rk.dgmres_solve(A, b, tol=1e-10, maxit=80)
+        rep = rk.dgmres_solve(A, b, tol=1e-10, maxit=80, record_explicit=True)
         h = rep.aresidual_history
         assert np.all(h[1:] <= h[:-1] * (1 + 1e-12))
 
@@ -271,7 +271,7 @@ def test_estimate_mode_histories():
 
 def test_estimate_tracks_explicit_residual():
     A, Ap, b_cons, _ = make_inconsistent(4)
-    rep = rk.gmres_solve(A, b_cons, tol=1e-10, maxit=80)
+    rep = rk.gmres_solve(A, b_cons, tol=1e-10, maxit=80, record_explicit=True)
     dev = np.max(np.abs(rep.estimate_history - rep.residual_history))
     assert dev <= 1e-8 * rep.residual_history[0]
 
@@ -283,7 +283,7 @@ def test_rrgmres_estimate_tracks_explicit_residual_on_grid():
     spec = rk.BvpSpec(m=20, d=10.0)
     A = rk.make_bvp_matrix(spec)
     b = rk.make_bvp_rhs(spec, "consistent_random", 0, A)
-    rep = rk.rrgmres_solve(A, b, tol=1e-12, maxit=400)
+    rep = rk.rrgmres_solve(A, b, tol=1e-12, maxit=400, record_explicit=True)
     ratio = rep.estimate_history / rep.residual_history
     assert np.all(np.abs(ratio - 1.0) <= 0.01)
 

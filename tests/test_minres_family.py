@@ -174,7 +174,7 @@ def test_final_iterate_equality_with_minres(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_minares_rho_monotone_and_faithful(seed):
     A, Ap, b = make_symmetric(seed, consistent=False)
-    rep = rk.minares1_solve(A, b, tol=1e-10, maxit=120)
+    rep = rk.minares1_solve(A, b, tol=1e-10, maxit=120, record_explicit=True)
     h = rep.estimate_history
     assert np.all(h[1:] <= h[:-1] * (1 + 1e-12))
     dev = np.max(np.abs(rep.estimate_history - rep.aresidual_history))

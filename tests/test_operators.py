@@ -67,20 +67,25 @@ def test_solve_options_validation():
     assert np.allclose(rk.gmres_solve(np.eye(2), np.ones(2), opts=opts).solution, 1.0)
 
 
+@pytest.mark.parametrize("restart", [None, 6])
 @pytest.mark.parametrize("rhs", ["consistent", "inconsistent"])
 @pytest.mark.parametrize("method", sorted(rk.SOLVERS))
-def test_default_monitor_is_the_methods_own(method, rhs):
+def test_default_monitor_is_the_methods_own(method, rhs, restart):
     # record_explicit=None is resolved once per solve: explicit checks for
-    # minres, estimates for the other six; the report records the bool
+    # minres and for restarted gmres, estimates otherwise; the report
+    # records the bool
     A = rk.make_random_symmetric_singular(
         rk.RandomSpec(n=20, rank=15, cond=100.0, seed=3)
     )
     b = np.random.default_rng(3).standard_normal(20)
     if rhs == "consistent":
         b = A @ b
-    rep = rk.SOLVERS[method](A, b, opts=rk.SolveOptions(tol=1e-10))
-    assert rep.record_explicit is (method == "minres")
-    want = rk.SOLVERS[method](A, b, tol=1e-10, record_explicit=method == "minres")
+    explicit = method == "minres" or (method == "gmres" and restart is not None)
+    rep = rk.SOLVERS[method](A, b, opts=rk.SolveOptions(tol=1e-10, restart=restart))
+    assert rep.record_explicit is explicit
+    want = rk.SOLVERS[method](
+        A, b, tol=1e-10, restart=restart, record_explicit=explicit
+    )
     assert_same_report(rep, want)
 
 

@@ -87,7 +87,7 @@ def test_inconsistent_final_solves_squared_system(method, seed):
 def test_aresidual_monotone(method, seed):
     for consistent in (True, False):
         A, Ap, b = make_system(seed, consistent=consistent)
-        rep = rk.SOLVERS[method](A, b, tol=1e-10, maxit=80)
+        rep = rk.SOLVERS[method](A, b, tol=1e-10, maxit=80, record_explicit=True)
         h = rep.aresidual_history
         assert np.all(h[1:] <= h[:-1] * (1 + 1e-12))
 
@@ -96,7 +96,7 @@ def test_aresidual_monotone(method, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_estimate_matches_explicit_aresidual(method, seed):
     A, Ap, b = make_system(seed, consistent=False)
-    rep = rk.SOLVERS[method](A, b, tol=1e-10, maxit=80)
+    rep = rk.SOLVERS[method](A, b, tol=1e-10, maxit=80, record_explicit=True)
     beta_hat = rep.aresidual_history[0]
     dev = np.max(np.abs(rep.estimate_history - rep.aresidual_history))
     assert dev <= 1e-8 * beta_hat
