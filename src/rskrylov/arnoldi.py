@@ -114,6 +114,8 @@ class ArnoldiState:
     reorthogonalize : bool
         Always true: every basis vector gets two Gram-Schmidt passes, in
         one step (CGS2) or split over two (delayed).
+    delays_next : bool
+        Whether the next step runs a delayed pass (read-only).
     """
 
     reorthogonalize = True
@@ -131,6 +133,10 @@ class ArnoldiState:
         self.breakdown_step = None
         # Delayed run: (p, u) with u = A v_k - V_k p after one pass.
         self._ahead = None
+
+    @property
+    def delays_next(self):
+        return not self.broke_down and _block_rows(self.k, self.n) > 0
 
     @property
     def basis_count(self):

@@ -255,7 +255,7 @@ def _cmd_solve(args):
     t0 = time.perf_counter()
     report = solver(A, b, x0=x0, opts=opts)
     elapsed = time.perf_counter() - t0
-    monitor = "explicit" if opts.record_explicit else "estimates"
+    monitor = "explicit" if report.record_explicit else "estimates"
     print(
         f"{args.method}: n={A.shape[0]} iterations={report.iterations} "
         f"termination={report.termination} matvecs={report.matvec_count} "

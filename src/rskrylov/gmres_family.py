@@ -17,13 +17,13 @@ the space closed), the reconstruction of iterate ``k`` and the square
 solve at subspace closure.  One monitor decides everything else.
 
 Each method monitors one of two ways, as ``SolveOptions.record_explicit``
-says; its default, ``None``, takes the subproblem's
-``explicit_default``, resolved once per solve.  Six methods monitor
-with estimates by default.  MINRES checks explicitly by default: on
-consistent symmetric systems its estimate-mode stop can end far from the
-pseudoinverse solution.  So does GMRES when ``opts.restart`` is set: on
-inconsistent grids its estimate-mode stop can lift to an answer further
-from the pseudoinverse solution than the explicit one.
+says: :func:`_solve` resolves its default, ``None``, to the subproblem's
+``explicit_default``, :func:`_cycle` picks the monitor, and no subproblem
+knows the mode.  Six methods monitor with estimates by default.  MINRES
+checks explicitly by default: on consistent symmetric systems its
+estimate-mode stop can end far from the pseudoinverse solution.  So does
+restarted GMRES: on inconsistent grids its estimate-mode stop can lift
+to an answer further from the pseudoinverse solution.
 
 With explicit monitoring (:class:`_Monitor`) a run stops once the
 residual norm falls below ``tol * ||r_0||`` or the A-residual norm below
@@ -75,7 +75,7 @@ from ._common import (
     norm,
     prepare,
 )
-from .arnoldi import ZeroSeedError, _block_rows, arnoldi_init, arnoldi_step
+from .arnoldi import ZeroSeedError, arnoldi_init, arnoldi_step
 from .hessenberg_qr import (
     BandedQr,
     HessenbergQr,
@@ -106,10 +106,10 @@ class _CycleResult(NamedTuple):
 
 
 class _Probe(NamedTuple):
-    """Iterate ``j`` checked explicitly; the best of estimate mode holds
-    estimates, and an ``x`` only from a short recurrence.  The explicit
-    monitor stores plain tuples of these fields, in this order: a
-    ``_Probe`` per step costs about 0.4 us, a few percent of a small step."""
+    """Iterate ``j`` checked explicitly, as both monitors store it; the
+    best of estimate mode holds estimates, and an ``x`` only from a short
+    recurrence.  Only a monitor builds one: a subproblem does not know
+    which monitor asks for its iterates."""
 
     j: int
     x: np.ndarray | None
@@ -129,9 +129,10 @@ class _Subproblem:
     cycle and a delayed Arnoldi step can sum one, when
     :meth:`_Monitor.record` hands it one), ``polish`` (steps run
     on past the A-residual floor before the best iterate is returned),
-    ``explicit_default`` (the monitoring mode of ``record_explicit=None``)
-    and ``explicit_when_restarted`` (that mode is explicit whenever
-    ``opts.restart`` is set).
+    ``explicit_default`` and ``explicit_when_restarted`` (the monitoring
+    mode of ``record_explicit=None``, and whether restarts make it
+    explicit), which only :func:`_solve` reads: a subproblem does the
+    same work under either monitor.
 
     A method supplies :meth:`seed` (by default the Arnoldi start followed
     by :meth:`start`; given the step budget of the cycle), :meth:`step`
@@ -203,22 +204,20 @@ class _Subproblem:
 
 
 class _Gmres(_Subproblem):
-    """Residual norm over the space of ``r0``; the tail of the rotated
-    right-hand side is the residual norm.  Restarted, it checks
-    explicitly by default: on inconsistent grids its estimate-mode stop
-    can lift to an answer further from the pseudoinverse solution."""
+    """Residual norm over the space of ``r0``: the rotated right-hand
+    side's tail, the last column of ``Q`` its direction.  Restarted, it
+    checks explicitly by default: on inconsistent grids its estimate-mode
+    stop can lift to an answer further from the pseudoinverse solution."""
 
     explicit_when_restarted = True
 
     def start(self):
-        kind = HessenbergQr if self.opts.record_explicit else HessenbergQrWithQ
-        self.qr = kind(self.beta1, self.capacity)
+        self.qr = HessenbergQrWithQ(self.beta1, self.capacity)
 
     def step(self, k):
         self.closed = arnoldi_step(self.state, self.A, ride=self.ride) == "breakdown"
         col = self.state.column(k - 1)
-        if not self.opts.record_explicit:
-            self.t_prev, self.q_prev = self.qr.t[-1], self.qr.q_last
+        self.t_prev, self.q_prev = self.qr.t[-1], self.qr.q_last
         tail = self.qr.append_column(col, 0.0)
         if k == 1:
             self.anchor(self.beta1 * norm(col))
@@ -341,8 +340,8 @@ class _Monitor:
     growth guard, the closure guard, the polish past the A-residual floor
     and the ``maxit`` tail.  Every exit goes through :meth:`_end`.
 
-    :meth:`record` decides from the Arnoldi state whether step ``k + 1``
-    runs a delayed Arnoldi pass.  If so, it leaves the sum ``V z`` of
+    :meth:`record` asks the Arnoldi state whether step ``k + 1`` runs a
+    delayed pass (``delays_next``).  If so, it leaves the sum ``V z`` of
     iterate ``k`` to that pass and :meth:`advance` checks the iterate,
     with the same rules, before anything of step ``k + 1``: the pass
     reads the basis once for both, and a check that ends the cycle there
@@ -388,13 +387,10 @@ class _Monitor:
         j, x, r, rn, arn = p
         if arn == np.inf:
             r, rn, arn = explicit_norms(self.A, self.b, x)
-        hist, count = self.hist, self.A.count
         if ell is not None:
-            hist.append(rn, arn, est, count)
-        elif (len(hist.mv) - 1, hist.res[-1], hist.ares[-1], hist.mv[-1]) != (
-            self.row0 + j, rn, arn, count
-        ):  # unless the last row already is that row
-            hist.end_at(self.row0 + j, rn, arn, count)
+            self.hist.append(rn, arn, est, self.A.count)
+        else:
+            self.hist.end_at(self.row0 + j, rn, arn, self.A.count)
         iters = j if ell is None else ell
         return _CycleResult(x, r, termination, stop_rule, ell, iters, arn)
 
@@ -404,12 +400,7 @@ class _Monitor:
         the coefficients of iterate ``k`` and check it in :meth:`advance`."""
         sub = self.sub
         try:
-            if (
-                k < self.budget
-                and sub.keeps_basis
-                and not sub.state.broke_down
-                and _block_rows(sub.state.k, sub.state.n) > 0
-            ):
+            if k < self.budget and sub.keeps_basis and sub.state.delays_next:
                 base, z = sub.coefficients(k)
                 x = base.copy()
                 sub.ride = (z, x)
@@ -429,8 +420,8 @@ class _Monitor:
             # minimization: the subproblem has degenerated numerically.
             return self.fallback(None)
         hist.append(rn, arn, est, self.A.count)
-        self.last = p = (k, x, r, rn, arn)
-        best_arn = self.best[-1]
+        self.last = p = _Probe(k, x, r, rn, arn)
+        best_arn = self.best.arn
         if arn < best_arn:
             self.best = p
         if rn <= floors["res"]:
@@ -456,7 +447,7 @@ class _Monitor:
             # needed before the first check; a NaN there, after an
             # estimate-mode maxit, loses to the best in min), proves it
             # too, whichever way rounding moved the residual norm.
-            best_arn = min(self.best[-1], self.hist.ares[self.row0])
+            best_arn = min(self.best.arn, self.hist.ares[self.row0])
             singular = self._rose(p.rn, p.arn, 1.0 + 1e-6) or (
                 p.arn > best_arn * (1.0 + 1e-6) + 1e-12 * self.hist.ares[0]
             )
@@ -561,14 +552,18 @@ class _EstimateMonitor(_Monitor):
         try:
             x = self.sub.iterate(k)
         except SingularTriangularError:
-            self.residual_rule = False
-            return None
+            x = None
+        if x is not None:
+            p = self._residual(k, x)
+            if p.rn <= 10.0 * self.floors["res"]:
+                return self._end(p, CONVERGED, "residual", None)
+        self.residual_rule = False
+        return None
+
+    def _residual(self, j, x):
+        """Iterate ``j``, ``x``, with only its ``|r|`` checked (one matvec)."""
         r = self.b - self.A.apply(x)
-        rn = norm(r)
-        if rn > 10.0 * self.floors["res"]:
-            self.residual_rule = False
-            return None
-        return self._end(_Probe(k, x, r, rn, np.nan), CONVERGED, "residual", None)
+        return _Probe(j, x, r, norm(r), np.nan)
 
     def fallback(self, ell, est=np.nan, probe=None):
         """``singular_final_system`` with the best-estimate iterate, checked
@@ -603,8 +598,7 @@ class _EstimateMonitor(_Monitor):
             x = self.sub.iterate(budget)
         except SingularTriangularError:
             x = self.sub.x_in.copy()
-        r = self.b - self.A.apply(x)
-        return self._end(_Probe(budget, x, r, norm(r), np.nan), MAXIT, None, None)
+        return self._end(self._residual(budget, x), MAXIT, None, None)
 
 
 def _cycle(sub, budget):
@@ -625,8 +619,7 @@ def _cycle(sub, budget):
     if len(sub.hist.mv) == 1:
         # The first cycle: the initial row counts the seed's matvecs.
         sub.hist.mv[0] = sub.A.count
-    kind = _Monitor if sub.opts.record_explicit else _EstimateMonitor
-    monitor = kind(sub, budget)
+    monitor = (_Monitor if sub.opts.record_explicit else _EstimateMonitor)(sub, budget)
     for k in range(1, budget + 1):
         est = sub.step(k)
         done = monitor.advance(k)

@@ -264,7 +264,7 @@ class BandedQr(HessenbergQr):
 class HessenbergQrWithQ(HessenbergQr):
     """:class:`HessenbergQr` that also tracks columns of the orthogonal
     factor, for the second factorization level of rsmar2 and dgmres and
-    for the A-residual estimate of estimate-mode GMRES.
+    for GMRES, whose A-residual estimate reads the last one.
 
     After each append, ``q_new_col`` is column ``k`` of ``Q_{k+1}`` (the
     combination of Hessenberg columns that the new triangular column

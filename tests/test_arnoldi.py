@@ -390,3 +390,26 @@ def test_delayed_from_the_first_step(monkeypatch, test):
     # block, from the first steps on.
     monkeypatch.setattr(arnoldi, "_block_rows", lambda k, n: 3)
     test()
+
+
+def test_delays_next_follows_the_block_rule(monkeypatch):
+    # n = 2500: the basis reaches BASIS_BYTES at step 65, and from then on
+    # every step is delayed until the space closes.
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=50, d=10.0))
+    state = run_arnoldi(A, np.random.default_rng(0).standard_normal(A.shape[0]), steps=64)
+    assert not state.delays_next
+    arnoldi_step(state, A)
+    assert state.k == 65 and state.delays_next
+    monkeypatch.setattr(arnoldi, "_block_rows", lambda k, n: 0)
+    assert not state.delays_next
+    monkeypatch.setattr(arnoldi, "_block_rows", lambda k, n: 3)
+    state = arnoldi_init(np.eye(3), np.ones(3))
+    assert state.delays_next
+    arnoldi_step(state, np.eye(3))
+    assert state.broke_down and not state.delays_next
+
+
+def test_seed_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValueError) as err:
+        arnoldi_init(np.eye(3), np.ones(4))
+    assert str(err.value) == "seed has shape (4,), expected (3,)"

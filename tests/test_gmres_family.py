@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import rskrylov as rk
-from rskrylov import hessenberg_qr
+from rskrylov import arnoldi, hessenberg_qr
 from conftest import assert_same_report, make_criterion07_instance
 
 
@@ -780,3 +780,144 @@ def test_first_history_row_counts_seed_matvecs(method, explicit):
         rep = rk.SOLVERS[method](A, b, x0=x0, tol=1e-10, record_explicit=explicit)
         assert rep.iterations > 0
         assert rep.matvec_history[0] == FIRST_ROW[method] + extra
+
+
+# The estimate monitor's branches that a numerically singular triangular
+# factor, or estimates that drift from the true norms, take.  A factor's
+# guard (its running smallest and largest |R[i, i]|) never fires on these
+# well-conditioned systems, so a test makes one solve raise instead; an
+# operator that adds a fixed tiny vector to each product moves the true
+# residual off the one the recurrences see.
+DIAG = np.diag(np.linspace(1.0, 2.0, 40))  # nonsingular
+DIAG_SINGULAR = np.diag(np.r_[np.linspace(1.0, 3.0, 30), np.zeros(10)])
+
+
+def fail_solve_at(monkeypatch, call):
+    """Make the ``call``-th solve of a nonempty block by any factor raise
+    :class:`SingularTriangularError`; returns the sizes solved."""
+    solve = hessenberg_qr.HessenbergQr.solve
+    sizes = []
+
+    def failing(self, size=None, rhs=None):
+        if size != 0:  # the guard cannot fire on an empty block
+            sizes.append(size)
+            if len(sizes) == call:
+                raise hessenberg_qr.SingularTriangularError("forced")
+        return solve(self, size, rhs)
+
+    monkeypatch.setattr(hessenberg_qr.HessenbergQr, "solve", failing)
+    return sizes
+
+
+def last_row_is_the_answer(rep, A, b):
+    """The last history row holds the explicit norms of the solution (or
+    ``nan`` for an ``|A r|`` the run did not check)."""
+    r = b - A @ rep.solution
+    assert_allclose(rep.residual_history[-1], np.linalg.norm(r), rtol=1e-12)
+    if not np.isnan(rep.aresidual_history[-1]):
+        assert_allclose(rep.aresidual_history[-1], np.linalg.norm(A @ r), rtol=1e-12)
+
+
+def test_estimate_mode_singular_factor_at_a_residual_confirmation(monkeypatch):
+    # The residual estimate of iterate 14 is at the floor, but its rebuild
+    # meets a singular factor: the residual rule switches off, and step
+    # 15's A-residual estimate ends the run on the same iterate, confirmed
+    # by two matvecs where the residual check took one.
+    b = np.ones(40)
+    plain = rk.gmres_solve(DIAG, b, tol=1e-10, record_explicit=False)
+    assert (plain.stop_rule, plain.iterations, plain.matvec_count) == ("residual", 14, 15)
+    sizes = fail_solve_at(monkeypatch, 1)
+    rep = rk.gmres_solve(DIAG, b, tol=1e-10, record_explicit=False)
+    assert sizes == [14, 14]
+    assert (rep.termination, rep.stop_rule) == (rk.CONVERGED, "aresidual")
+    assert (rep.iterations, rep.matvec_count) == (14, 17)
+    assert np.array_equal(rep.solution, plain.solution)
+    last_row_is_the_answer(rep, DIAG, b)
+
+
+def test_estimate_mode_singular_factor_under_the_best_iterate(monkeypatch):
+    # The floor rule ends the run at step 19 on its best iterate, 15.  When
+    # that iterate cannot be rebuilt its check reads infinite norms, so the
+    # bisection checks iterates 7, 11, 13 and 14 and returns the smallest
+    # explicit |A r| it saw: four checks of two matvecs after 19 steps.
+    b = np.ones(40)
+    plain = rk.gmres_solve(DIAG_SINGULAR, b, tol=1e-10, record_explicit=False)
+    assert (plain.termination, plain.iterations, plain.matvec_count) == (
+        rk.SINGULAR_FINAL_SYSTEM, 15, 21,
+    )
+    sizes = fail_solve_at(monkeypatch, 1)
+    rep = rk.gmres_solve(DIAG_SINGULAR, b, tol=1e-10, record_explicit=False)
+    assert sizes == [15, 7, 11, 13, 14]
+    assert (rep.termination, rep.stop_rule) == (rk.SINGULAR_FINAL_SYSTEM, None)
+    assert (rep.iterations, rep.matvec_count) == (14, 27)
+    last_row_is_the_answer(rep, DIAG_SINGULAR, b)
+    xstar = np.linalg.pinv(DIAG_SINGULAR) @ b
+    assert np.linalg.norm(rep.lifted_solution - xstar) <= 1e-6 * np.linalg.norm(xstar)
+
+
+def test_estimate_mode_singular_factor_in_an_aresidual_estimate(monkeypatch):
+    # rrgmres solves for its A-residual estimate at every step: when step
+    # 3's solve (of iterate 2) fails, the best-estimate iterate, 1, is
+    # returned after one explicit check.
+    b = np.ones(40)
+    sizes = fail_solve_at(monkeypatch, 2)
+    rep = rk.rrgmres_solve(DIAG, b, tol=1e-10, record_explicit=False)
+    assert sizes == [1, 2, 1]
+    assert (rep.termination, rep.stop_rule) == (rk.SINGULAR_FINAL_SYSTEM, None)
+    # the seed A r0, three steps and one check
+    assert (rep.iterations, rep.matvec_count) == (1, 6)
+    last_row_is_the_answer(rep, DIAG, b)
+
+
+def test_estimate_mode_maxit_with_a_singular_factor_returns_x0(monkeypatch):
+    b = np.ones(40)
+    sizes = fail_solve_at(monkeypatch, 1)
+    x0 = np.full(40, 0.25)
+    rep = rk.gmres_solve(DIAG, b, x0=x0, tol=1e-10, maxit=4, record_explicit=False)
+    assert sizes == [4]
+    assert (rep.termination, rep.iterations) == (rk.MAXIT, 4)
+    # r0, four steps and the |r| of the answer
+    assert rep.matvec_count == 6
+    assert np.array_equal(rep.solution, x0) and rep.solution is not x0
+    assert np.isnan(rep.aresidual_history[-1])
+    last_row_is_the_answer(rep, DIAG, b)
+
+
+def inexact(A, eps):
+    """``A`` whose every product is off by the same vector of size ``eps``."""
+    e = eps * np.cos(np.arange(A.shape[0]))
+    return rk.LinearOperator(A.shape[0], lambda v: A @ v + e)
+
+
+@pytest.mark.parametrize(
+    "method, iterations, matvecs", [("gmres", 12, 26), ("minres", 14, 18)]
+)
+def test_estimate_mode_residual_rule_switches_off_when_fooled(method, iterations, matvecs):
+    # The recurrences see the residual of the exact operator fall to the
+    # floor at step 14, the true one stays near 1e-8: the failed
+    # confirmation switches the residual rule off.  The A-residual rule,
+    # fooled the same way, then fails its confirmation too and falls back;
+    # for gmres the bisection moves down from the iterates whose explicit
+    # |A r| is above ten times their estimate.
+    b = np.ones(40)
+    rep = rk.SOLVERS[method](inexact(DIAG, 1e-9), b, tol=1e-10, record_explicit=False)
+    assert (rep.termination, rep.stop_rule) == (rk.SINGULAR_FINAL_SYSTEM, None)
+    assert (rep.iterations, rep.matvec_count) == (iterations, matvecs)
+    xstar = np.linalg.solve(DIAG, b)
+    assert np.linalg.norm(rep.solution - xstar) <= 1e-8 * np.linalg.norm(xstar)
+
+
+def test_explicit_checks_wait_for_the_step_the_state_delays(monkeypatch):
+    # The monitor asks the Arnoldi state whether the next step is delayed:
+    # with every step delayed, iterate k is checked after step k + 1, whose
+    # pass sums it, so its row also counts that step's product with A and
+    # the first delayed step's look-ahead product.
+    A, _ = rk.make_random_range_symmetric(rk.RandomSpec(n=30, rank=24, seed=3))
+    b = np.random.default_rng(3).standard_normal(30)
+    plain = rk.gmres_solve(A, b, tol=1e-10, record_explicit=True)
+    monkeypatch.setattr(arnoldi, "_block_rows", lambda k, n: 3)
+    rep = rk.gmres_solve(A, b, tol=1e-10, record_explicit=True)
+    assert (rep.termination, rep.iterations) == (plain.termination, plain.iterations)
+    rows = slice(1, plain.iterations)
+    assert_array_equal(rep.matvec_history[rows] - plain.matvec_history[rows], 2)
+    assert_allclose(rep.solution, plain.solution, rtol=1e-8)

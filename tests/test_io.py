@@ -850,3 +850,118 @@ def test_cli_scale_flag(tmp_path, capsys):
     )
     assert rc == 0
     assert "termination=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, lineno, wording",
+    [
+        ("2 2 1\n1 1 1.0\n", 1, "missing %%MatrixMarket header"),
+        (
+            "%%MatrixMarket matrix coordinate real\n2 2 1\n1 1 1.0\n",
+            1,
+            "incomplete header: '%%MatrixMarket matrix coordinate real'",
+        ),
+        (
+            "%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n0.0\n1.0\n",
+            1,
+            "only 'matrix coordinate' files are supported",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+            1,
+            "unsupported symmetry 'skew-symmetric' (only 'general' or 'symmetric')",
+        ),
+        (GENERAL + "% a comment\n2 2\n1 1 1.0\n", 3, "expected 'rows cols nnz', got '2 2'"),
+        (
+            GENERAL + "2 2.5 1\n1 1 1.0\n",
+            2,
+            "bad size line: invalid literal for int() with base 10: '2.5'",
+        ),
+        (GENERAL + "% only comments\n\n", None, "no size line found"),
+    ],
+    ids=[
+        "no-header",
+        "short-header",
+        "array-format",
+        "skew-symmetric",
+        "two-size-fields",
+        "non-integer-size",
+        "no-size-line",
+    ],
+)
+def test_malformed_header_or_size_line_reports_its_line(tmp_path, text, lineno, wording):
+    path, msg = _read_error(tmp_path, text)
+    where = path if lineno is None else f"{path}:{lineno}"
+    assert msg == f"{where}: {wording}"
+
+
+def test_header_and_comments_longer_than_a_read_block(tmp_path):
+    # The size line is found, and counted, in the second read block.
+    comments = ["% " + "c" * 98] * (_READ_BLOCK // 100 + 10)
+    head = GENERAL + "".join(line + "\n" for line in comments)
+    assert len(head) > _READ_BLOCK
+    size_line = 2 + len(comments)
+    path = tmp_path / "long.mtx"
+    path.write_text(head + "2 2 2\n1 1 3.0\n2 1 -1.5\n")
+    assert_allclose(read_matrix_market(path).toarray(), [[3.0, 0.0], [-1.5, 0.0]])
+    _, msg = _read_error(tmp_path, head + "2 2\n")
+    assert msg.endswith(f":{size_line}: expected 'rows cols nnz', got '2 2'")
+    path, msg = _read_error(tmp_path, head)
+    assert msg == f"{path}: no size line found"
+
+
+def test_history_record_checks_its_columns(tmp_path):
+    with pytest.raises(ValueError, match="history columns must have equal lengths"):
+        HistoryRecord("gmres", np.ones(3), np.ones(2), np.arange(3), "maxit")
+    path = tmp_path / "h.csv"
+    path.write_text("# residuals: explicit\nmethod,iter,res,ares,matvecs\n")
+    with pytest.raises(ValueError) as err:
+        read_history_csv(path)
+    assert str(err.value) == (
+        "unexpected header ['method', 'iter', 'res', 'ares', 'matvecs']"
+    )
+
+
+def _cli_error(capsys, argv):
+    """Run a command line that must fail; returns its stderr."""
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    return capsys.readouterr().err
+
+
+def test_cli_system_input_errors(tmp_path, capsys):
+    mtx = tmp_path / "a.mtx"
+    assert cli_main(["generate", "random-sym", "--n", "30", "--out", str(mtx)]) == 0
+    solve = ["solve", "--method", "minres", "--matrix", str(mtx)]
+    err = _cli_error(capsys, [*solve, "--rhs", "ones", "--rhs-kind", "e"])
+    assert err == "error: pass either --rhs or --rhs-kind, not both\n"
+    err = _cli_error(capsys, [*solve, "--rhs-kind", "xy"])
+    assert err == "error: --rhs-kind xy needs a grid matrix (order m*m), got order 30\n"
+    err = _cli_error(capsys, solve)
+    assert err == "error: an RHS is required: pass --rhs or --rhs-kind\n"
+    short = tmp_path / "b.txt"
+    write_vector(short, np.ones(29))
+    err = _cli_error(capsys, [*solve, "--rhs", str(short)])
+    assert err == "error: rhs has length 29, matrix has order 30\n"
+    out = tmp_path / "c.csv"
+    compare = ["compare", "--methods", "gmres,nosuch,minres,other"]
+    err = _cli_error(capsys, [*compare, "--matrix", str(mtx), "--rhs", "ones", "--out", str(out)])
+    assert err == "error: unknown methods: nosuch, other\n"
+    assert not out.exists()
+
+
+def test_cli_generate_rhs_kind_needs_an_output(tmp_path, capsys):
+    grid = tmp_path / "g.mtx"
+    err = _cli_error(capsys, ["generate", "bvp", "--m", "5", "--rhs-kind", "xy", "--out", str(grid)])
+    assert err == "error: --rhs-kind requires --rhs-out\n"
+    assert not grid.exists()
+
+
+def test_cli_check_writes_the_pseudoinverse_solution(tmp_path, capsys):
+    mtx, out = tmp_path / "a.mtx", tmp_path / "p.txt"
+    assert cli_main(["generate", "random-rs", "--n", "12", "--rank", "9", "--out", str(mtx)]) == 0
+    capsys.readouterr()
+    assert cli_main(["check", "--matrix", str(mtx), "--rhs", "ones", "--out", str(out)]) == 0
+    assert f"pseudoinverse solution written to {out}" in capsys.readouterr().out
+    A = read_matrix_market(mtx).toarray()
+    assert_allclose(read_vector(out), rk.pseudoinverse_solve(A, np.ones(12)), rtol=0, atol=1e-12)

@@ -389,3 +389,21 @@ def test_short_recurrence_live_vectors(method, explicit, bound):
     tracemalloc.stop()
     assert rep.iterations == 71
     assert peak <= bound * 8 * A.shape[0]
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_minares_singular_rotated_factor_ends_singular(explicit):
+    # The second eigenvalue is at the rounding level of the first and b is
+    # large along its eigenvector, so A r0 = (1, 1, 0) has equal parts on
+    # both: at step 2 the Lanczos space closes with a rotated factor that
+    # is numerically singular.  That closure is not accepted: the run ends
+    # singular_final_system at the closure step with the best iterate.
+    A = np.diag([1.0, 1e-16, 0.0])
+    b = np.array([1.0, 1e16, 1.0])
+    rep = rk.minares1_solve(A, b, record_explicit=explicit)
+    assert (rep.termination, rep.stop_rule) == (rk.SINGULAR_FINAL_SYSTEM, None)
+    # the seed A r0, two steps and the check of the returned iterate
+    assert (rep.iterations, rep.matvec_count) == (2, 5)
+    r = b - A @ rep.solution
+    assert_allclose(rep.aresidual_history[-1], np.linalg.norm(A @ r), rtol=1e-12)
+    assert rep.aresidual_history[-1] <= rep.aresidual_history[0]

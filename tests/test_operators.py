@@ -172,3 +172,16 @@ def test_operator_reusing_one_buffer_matches_its_matrix(method, explicit):
     want = rk.SOLVERS[method](M, b, record_explicit=explicit)
     got = rk.SOLVERS[method](rk.LinearOperator(30, into_buffer), b, record_explicit=explicit)
     assert_same_report(got, want)
+
+
+def test_non_square_sparse_matrix_rejected():
+    with pytest.raises(ValueError) as err:
+        rk.aslinearoperator(sp.csr_matrix((2, 3)))
+    assert str(err.value) == "operator must be square, got shape (2, 3)"
+
+
+@pytest.mark.parametrize("method", sorted(rk.SOLVERS))
+def test_opts_and_keyword_options_together_rejected(method):
+    with pytest.raises(TypeError) as err:
+        rk.SOLVERS[method](np.eye(3), np.ones(3), opts=rk.SolveOptions(), tol=1e-8)
+    assert str(err.value) == "pass either opts or keyword options, not both"
