@@ -162,7 +162,7 @@ def _load_system(args):
     if args.rhs is not None and args.rhs_kind is not None:
         raise ValueError("pass either --rhs or --rhs-kind, not both")
     if args.rhs is not None:
-        b = np.ones(n) if args.rhs == "ones" else read_vector(args.rhs)
+        b = _read_rhs(args.rhs, n)
     elif args.rhs_kind == "Ae":
         b = np.asarray(A @ np.ones(n))
     elif args.rhs_kind == "e":
@@ -176,8 +176,6 @@ def _load_system(args):
         b = make_bvp_rhs(BvpSpec(m=m), "inconsistent_xy")
     else:
         raise ValueError("an RHS is required: pass --rhs or --rhs-kind")
-    if b.shape[0] != n:
-        raise ValueError(f"rhs has length {b.shape[0]}, matrix has order {n}")
     x0 = None if args.x0 is None else read_vector(args.x0)
     opts = SolveOptions(
         tol=args.tol,
@@ -186,6 +184,17 @@ def _load_system(args):
         record_explicit=args.record_explicit,
     )
     return A, b, x0, opts
+
+
+def _read_rhs(rhs, n):
+    """The right-hand side ``rhs`` of ``--rhs``, the literal ``ones`` or a
+    vector file, for a matrix of order ``n``."""
+    b = np.ones(n) if rhs == "ones" else read_vector(rhs)
+    if b.shape[0] != n:
+        raise ValueError(f"rhs has length {b.shape[0]}, matrix has order {n}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b has non-finite entries")
+    return b
 
 
 # The options of each kind of ``generate`` and their defaults; one given
@@ -313,9 +322,7 @@ def _cmd_check(args):
             f"matrix order {n} exceeds the dense oracle cap {args.max_n}"
         )
     dense = A.toarray()
-    b = None
-    if args.rhs is not None:
-        b = np.ones(n) if args.rhs == "ones" else read_vector(args.rhs)
+    b = None if args.rhs is None else _read_rhs(args.rhs, n)
     result = analyze(dense, b, max_n=args.max_n)
     print(f"order: {n}")
     print(f"range_symmetric: {str(result.range_symmetric).lower()}")

@@ -15,12 +15,17 @@ block at a time, so a read holds the matrix it returns plus one block:
 its peak, while the triplets become CSR, is about twice the CSR matrix.
 Every check (three fields per line, integer indices, 1-based indices in
 range, as many entries as the size line announces) runs on the parsed
-arrays.  Only when the parse or a check fails is the file read a second
-time, whole, and a locator scans its entry lines one at a time, to raise
-the error for the first offending line with its ``path:lineno:`` prefix.
-An input that cannot seek (a pipe) cannot be read twice: its error names
-the path but not the line.  Nor does its size bound the entry count, so
-its arrays start at one block of entries and double as they fill.
+arrays.  When the parse or a check of a block fails, the lines of that
+block alone are checked one at a time, numbered from a running count of
+line ends, to raise the error of the first bad line with its
+``path:lineno:`` prefix: an error is found in the block that failed, in
+one read that stops there, with no more memory than a valid read.  The
+entries past the count of the size line, and all of them when the size
+of a regular file rules that count out, are parsed and counted but not
+stored, so that a later bad line still wins over the count mismatch.
+A pipe takes the same path and gives the same messages; only its size
+does not bound the entry count, so its arrays start at one block of
+entries and double as they fill.
 A ``%`` after the first field of an entry line is an error, not a
 trailing comment.
 Numbers are read as numpy reads them, so Python-only spellings such as
@@ -70,9 +75,9 @@ def read_matrix_market(path):
     into index and value arrays reserved with the entry count of the
     size line (grown as they fill when the input is not a regular file),
     so the memory a read needs is about the matrix it returns (twice the
-    CSR matrix at the peak), not a multiple of the file.  A
-    file that breaks the format is read a second time, to report its
-    first bad line.
+    CSR matrix at the peak), not a multiple of the file.  A file or pipe
+    that breaks the format is reported with its first bad line, found in
+    the block that failed; the read stops there.
     """
     with open(path, "rb") as fh:
         blocks = _blocks(fh)
@@ -127,26 +132,17 @@ def read_matrix_market(path):
                 f"{path}:{lineno}: matrix must be square, got {nrows} x {ncols}"
             )
         # An entry line takes at least six bytes with its line end, so the
-        # size of a regular file bounds the count: a false count fails
-        # before it reserves any memory.  Other inputs (a pipe) give no
-        # bound, so their arrays start at one block of entries and grow.
+        # size of a regular file bounds the count: a false count reserves
+        # no memory, and its lines are only parsed and counted.  Other
+        # inputs (a pipe) give no bound, so their arrays start at one
+        # block of entries and grow.
         info = os.fstat(fh.fileno())
         regular = stat.S_ISREG(info.st_mode)
-        coo = None
-        if 0 <= nnz and (not regular or nnz <= (info.st_size + 1) // 6):
-            body = itertools.chain((lines.read(),), blocks)
-            reserve = nnz if regular else min(nnz, _READ_BLOCK // 6)
-            coo = _read_entries(body, nrows, nnz, reserve)
-        if coo is None:
-            if not fh.seekable():  # a pipe: the lines read are gone
-                raise MatrixMarketError(
-                    f"{path}: bad entry lines, or not the {nnz} entries the size "
-                    "line announces (the input cannot be read twice to find "
-                    "the first bad line)"
-                )
-            fh.seek(0)
-            _raise_first_error(path, fh, lineno, nrows, nnz)
-    rows, cols, vals = coo
+        fits = not regular or nnz <= (info.st_size + 1) // 6
+        room = nnz if 0 <= nnz and fits else 0
+        reserve = room if regular else min(room, _READ_BLOCK // 6)
+        body = itertools.chain((lines.read(),), blocks)
+        rows, cols, vals = _read_entries(path, body, lineno, nrows, nnz, room, reserve)
     if symmetry == "symmetric":
         off = rows != cols
         rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))
@@ -174,33 +170,37 @@ def _blocks(fh):
         yield tail.replace(b"\r", b"\n")
 
 
-def _read_entries(blocks, n, nnz, reserve):
+def _read_entries(path, blocks, lineno, n, nnz, room, reserve):
     """The 0-based rows, the columns and the values of the entry lines in
-    ``blocks``, or ``None`` when a line breaks the format or the count is
-    not ``nnz``.  The arrays start with ``reserve`` entries and double,
-    up to ``nnz``, when they fill."""
+    ``blocks``, which follow line ``lineno``.  The arrays start with
+    ``reserve`` entries and double, up to ``room``, when they fill; past
+    ``room`` entries the lines are parsed and counted, but not stored.
+    Raises the error of the first line that breaks the format, or else
+    of a count other than ``nnz``."""
     # The index dtype scipy picks for an n x n matrix, so that the
     # conversion to CSR takes these arrays without a copy.
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     rows, cols = np.empty(reserve, dtype=index), np.empty(reserve, dtype=index)
     vals = np.empty(reserve)
-    filled = 0
+    found = 0
     for block in blocks:
         try:
             entries = _parse_entries(block)
-        except (ValueError, OverflowError, DeprecationWarning):
-            return None
-        end = filled + len(entries)
-        if end > nnz or not (_in_range(entries["i"], n) and _in_range(entries["j"], n)):
-            return None
-        if end > len(vals):
-            size = min(nnz, max(end, 2 * len(vals)))
-            rows, cols, vals = (_grown(a, filled, size) for a in (rows, cols, vals))
-        rows[filled:end], cols[filled:end] = entries["i"], entries["j"]
-        vals[filled:end] = entries["v"]
-        filled = end
-    if filled != nnz:
-        return None
+            if not (_in_range(entries["i"], n) and _in_range(entries["j"], n)):
+                raise ValueError("index out of range")
+        except (ValueError, OverflowError, DeprecationWarning) as exc:
+            _raise_bad_line(path, block, lineno, n, exc)
+        end = found + len(entries)
+        if end <= room:
+            if end > len(vals):
+                size = min(room, max(end, 2 * len(vals)))
+                rows, cols, vals = (_grown(a, found, size) for a in (rows, cols, vals))
+            rows[found:end], cols[found:end] = entries["i"], entries["j"]
+            vals[found:end] = entries["v"]
+        found = end
+        lineno += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
+    if found != nnz:
+        raise MatrixMarketError(f"{path}: header announced {nnz} entries, found {found}")
     rows -= 1
     cols -= 1
     return rows, cols, vals
@@ -252,13 +252,11 @@ def _in_range(index, n):
     return index.size == 0 or (index.min() >= 1 and index.max() <= n)
 
 
-def _raise_first_error(path, fh, size_line, n, nnz):
-    """Read the binary file ``fh`` whole and raise the error of the first
-    entry line after line ``size_line`` that breaks the format, or else
-    the count mismatch."""
-    lines = b"".join(_blocks(fh)).decode("utf-8").split("\n")
-    seen = 0
-    for lineno, line in enumerate(lines[size_line:], start=size_line + 1):
+def _raise_bad_line(path, block, lineno, n, error):
+    """Raise the error of the first line that breaks the format in the
+    failed ``block``, whose lines follow line ``lineno``; when every line
+    passes the rules below, numpy's ``error`` for the block."""
+    for lineno, line in enumerate(block.decode("utf-8").split("\n"), start=lineno + 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -277,19 +275,9 @@ def _raise_first_error(path, fh, size_line, n, nnz):
                 f"{path}:{lineno}: index ({i}, {j}) out of range for "
                 f"{n} x {n} matrix (indices are 1-based)"
             )
-        seen += 1
-    if seen != nnz:
-        raise MatrixMarketError(
-            f"{path}: header announced {nnz} entries, found {seen}"
-        )
-    # Every line passes the rules above, but numpy's parser refuses one;
-    # parsed whole, the body gives numpy's message with the row counted in
-    # the body, not in a block.
-    try:
-        _parse_entries("\n".join(lines[size_line:]).encode("utf-8"))
-    except (ValueError, OverflowError, DeprecationWarning) as exc:
-        raise MatrixMarketError(f"{path}: bad entries: {exc}")
-    raise MatrixMarketError(f"{path}: bad entries")
+    # Only numpy refuses a line, such as 1_0.5, which Python reads as
+    # 10.5; its message counts the row within this block.
+    raise MatrixMarketError(f"{path}: bad entries: {error}")
 
 
 def write_matrix_market(path, A, comment=None):

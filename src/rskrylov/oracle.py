@@ -40,6 +40,8 @@ def _as_square(A, max_n=ORACLE_CAP):
         raise ValueError(
             f"matrix order {A.shape[0]} exceeds the dense oracle cap {max_n}"
         )
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A has non-finite entries")
     return A
 
 

@@ -43,6 +43,8 @@ class BvpSpec:
         # builder itself insists on m >= 3.
         if self.m < 2:
             raise ValueError("grid size m must be at least 2")
+        if not np.isfinite(self.d):
+            raise ValueError("convection constant d must be finite")
 
     @property
     def h(self):
@@ -66,8 +68,8 @@ class RandomSpec:
     def __post_init__(self):
         if not 1 <= self.rank <= self.n:
             raise ValueError("rank must satisfy 1 <= rank <= n")
-        if self.cond < 1.0:
-            raise ValueError("condition target must be at least 1")
+        if not 1.0 <= self.cond < np.inf:
+            raise ValueError("condition target must be finite and at least 1")
 
 
 def _cyclic_shift(m, k):
@@ -174,6 +176,8 @@ def make_random_symmetric_singular(spec):
 
 def make_random_skew_singular(n, seed=0):
     """Random skew-symmetric matrix of odd order (hence singular)."""
+    if n < 1:
+        raise ValueError("skew-symmetric generator requires n >= 1")
     if n % 2 == 0:
         raise ValueError("skew-symmetric generator requires odd n")
     rng = np.random.default_rng(seed)

@@ -96,6 +96,40 @@ def test_read_peak_memory_is_close_to_its_matrix(tmp_path):
     assert rise <= 2.5 * matrix
 
 
+READ_BAD_GRID = PEAK_BYTES + """
+def error(path):
+    try:
+        rk.read_matrix_market(path)
+    except rk.MatrixMarketError as exc:
+        return str(exc)
+
+error("small.mtx")  # lazy set-up of the read and error paths
+before = peak_bytes()
+message = error("grid.mtx")
+print(peak_bytes() - before, message)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_error_in_the_last_line_costs_no_more_than_a_read(tmp_path):
+    # The bad line is found in the block that failed, with the arrays of
+    # the result still the only large allocation.  Read a second time,
+    # whole and decoded, to find that line, the file cost about 7 times
+    # the CSR matrix.
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=150, d=0.0))
+    path = tmp_path / "grid.mtx"
+    rk.write_matrix_market(path, A)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " x"
+    path.write_text("".join(line + "\n" for line in lines))
+    (tmp_path / "small.mtx").write_text(lines[0] + "\n2 2 1\n1 1 y\n")
+    rise, message = run_python(READ_BAD_GRID, cwd=tmp_path).split(" ", 1)
+    assert message.strip() == (
+        f"grid.mtx:{len(lines)}: bad entry: could not convert string to float: 'x'"
+    )
+    assert int(rise) <= 2.5 * (A.indptr.nbytes + A.indices.nbytes + A.data.nbytes)
+
+
 SOLVE_EVERYTHING = """
 import sys
 import numpy as np

@@ -272,8 +272,10 @@ def test_errors_in_the_last_block_report_their_line(tmp_path):
     )
 
 
-def _read_through_pipe(data):
-    """``read_matrix_market`` of ``data`` fed from a thread into a pipe."""
+def _read_through_pipe(data, fed=None):
+    """``read_matrix_market`` of ``data`` fed from a thread into a pipe;
+    appends to the list ``fed``, if given, whether the thread wrote all of
+    ``data``."""
     r, w = os.pipe()
 
     def feed():
@@ -281,7 +283,11 @@ def _read_through_pipe(data):
             with os.fdopen(w, "wb") as fh:
                 fh.write(data)
         except BrokenPipeError:  # the reader stopped early
-            pass
+            done = False
+        else:
+            done = True
+        if fed is not None:
+            fed.append(done)
 
     feeder = threading.Thread(target=feed)
     feeder.start()
@@ -294,8 +300,8 @@ def _read_through_pipe(data):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_pipe_reads_and_reports_errors(tmp_path):
-    # A pipe cannot seek back to locate a bad line: the error names the
-    # path instead of raising io.UnsupportedOperation.
+    # A pipe takes the path of a regular file: the same matrix, and for
+    # each bad input the same message, with the same line.
     path, lines, _ = _many_blocks(tmp_path, "general", "\n")
     data = path.read_bytes()
     A, expected = _read_through_pipe(data), read_matrix_market(path)
@@ -307,8 +313,31 @@ def test_pipe_reads_and_reports_errors(tmp_path):
     # by reading, not by reserving its arrays.
     counts = [GENERAL + f"2 2 {nnz}\n1 1 1.0\n" for nnz in (2, -1, 10**12)]
     for text in [bad, GENERAL + "2 2 1\n1 3 1.0\n"] + counts:
-        with pytest.raises(MatrixMarketError, match=r"^/dev/fd/\d+: bad entry lines"):
+        path.write_bytes(text.encode())
+        with pytest.raises(MatrixMarketError) as filed:
+            read_matrix_market(path)
+        with pytest.raises(MatrixMarketError) as piped:
             _read_through_pipe(text.encode())
+        pipe, _, message = str(piped.value).partition(":")
+        assert re.fullmatch(r"/dev/fd/\d+", pipe)
+        assert f"{path}:{message}" == str(filed.value)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_stops_at_the_block_of_its_first_bad_line():
+    # 1.6 MB of entries follow the bad line: far more than the pipe and
+    # one read block hold, so the feeder is still writing when the
+    # reader stops and closes the pipe.
+    count = 200_000
+    data = (GENERAL + f"2 2 {count}\n1 x 1.0\n" + "1 1 1.0\n" * count).encode()
+    fed = []
+    with pytest.raises(MatrixMarketError) as err:
+        _read_through_pipe(data, fed)
+    assert re.fullmatch(
+        r"/dev/fd/\d+:3: bad entry: invalid literal for int\(\) with base 10: 'x'",
+        str(err.value),
+    )
+    assert fed == [False]
 
 
 def test_read_empty_matrix(tmp_path):
@@ -965,3 +994,43 @@ def test_cli_check_writes_the_pseudoinverse_solution(tmp_path, capsys):
     assert f"pseudoinverse solution written to {out}" in capsys.readouterr().out
     A = read_matrix_market(mtx).toarray()
     assert_allclose(read_vector(out), rk.pseudoinverse_solve(A, np.ones(12)), rtol=0, atol=1e-12)
+
+
+def test_cli_check_validates_its_system_as_solve_does(tmp_path, capsys):
+    mtx = tmp_path / "a.mtx"
+    assert cli_main(["generate", "random-rs", "--n", "12", "--rank", "9", "--out", str(mtx)]) == 0
+    short, nan = tmp_path / "short.txt", tmp_path / "nan.txt"
+    write_vector(short, np.ones(11))
+    write_vector(nan, np.r_[np.ones(11), np.nan])
+    out = tmp_path / "p.txt"
+    for command in ("check", "solve --method minres"):
+        argv = [*command.split(), "--matrix", str(mtx)]
+        err = _cli_error(capsys, [*argv, "--rhs", str(short)])
+        assert err == "error: rhs has length 11, matrix has order 12\n"
+        err = _cli_error(capsys, [*argv, "--rhs", str(nan), "--out", str(out)])
+        assert err == "error: b has non-finite entries\n"
+        assert not out.exists()
+    A = read_matrix_market(mtx)
+    A.data[3] = np.nan
+    write_matrix_market(mtx, A)
+    for command in ("check", "solve --method minres"):
+        err = _cli_error(capsys, [*command.split(), "--matrix", str(mtx), "--rhs", "ones"])
+        assert err == "error: A has non-finite entries\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bvp", "--m", "5", "--d", "nan"], "convection constant d must be finite"),
+        (["bvp", "--m", "5", "--d=-inf"], "convection constant d must be finite"),
+        (["random-rs", "--cond", "inf"], "condition target must be finite and at least 1"),
+        (["random-sym", "--cond", "nan"], "condition target must be finite and at least 1"),
+        (["random-skew", "--n", "-3"], "skew-symmetric generator requires n >= 1"),
+    ],
+    ids=["bvp-d-nan", "bvp-d-inf", "rs-cond-inf", "sym-cond-nan", "skew-negative-n"],
+)
+def test_cli_generate_rejects_non_finite_parameters(tmp_path, capsys, argv, message):
+    out = tmp_path / "a.mtx"
+    err = _cli_error(capsys, ["generate", *argv, "--out", str(out)])
+    assert err == f"error: {message}\n"
+    assert not out.exists()

@@ -114,3 +114,20 @@ def test_analyze_bundle():
     assert res.index == 1
     assert res.kappa == 2.0
     assert_allclose(res.pseudo_solution, [1.0, 1.0, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracles_reject_non_finite_entries(bad):
+    A = np.diag([2.0, 1.0, 0.0])
+    A[0, 2] = bad
+    b = np.ones(3)
+    calls = [
+        lambda: rk.pseudoinverse_solve(A, b),
+        lambda: rk.index_of(A),
+        lambda: rk.is_range_symmetric(A),
+        lambda: rk.krylov_max_dim(A, b),
+        lambda: rk.analyze(A, b),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^A has non-finite entries$"):
+            call()

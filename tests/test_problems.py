@@ -102,6 +102,12 @@ def test_random_skew_singular():
         rk.make_random_skew_singular(10, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -1, -4])
+def test_random_skew_rejects_an_empty_order(n):
+    with pytest.raises(ValueError, match=r"^skew-symmetric generator requires n >= 1$"):
+        rk.make_random_skew_singular(n)
+
+
 def test_random_spec_validation():
     with pytest.raises(ValueError):
         rk.RandomSpec(n=5, rank=0)
@@ -109,6 +115,18 @@ def test_random_spec_validation():
         rk.RandomSpec(n=5, rank=6)
     with pytest.raises(ValueError):
         rk.RandomSpec(n=5, rank=3, cond=0.5)
+
+
+@pytest.mark.parametrize("cond", [np.nan, np.inf, -np.inf])
+def test_random_spec_rejects_a_non_finite_condition_target(cond):
+    with pytest.raises(ValueError, match=r"^condition target must be finite and at least 1$"):
+        rk.RandomSpec(n=5, rank=3, cond=cond)
+
+
+@pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
+def test_bvp_spec_rejects_a_non_finite_convection_constant(d):
+    with pytest.raises(ValueError, match=r"^convection constant d must be finite$"):
+        rk.BvpSpec(m=5, d=d)
 
 
 def test_scale_max_abs():
