@@ -3,7 +3,8 @@
 Rebuilds the singular grid benchmark (block-circulant matrix with the
 all-ones null space) at a desk-friendly size, runs the four long-recurrence
 methods on a consistent and an inconsistent right-hand side, and writes
-their explicit per-iteration histories to CSV for plotting.  The figures
+their explicit per-iteration histories to CSV, straight from the solve
+reports, for plotting.  The figures
 plot true norms, so the solves ask for explicit checks
 (``record_explicit=True``); by default these methods monitor with
 matvec-free estimates, whose histories leave ``|Ar|`` unrecorded.  The
@@ -15,7 +16,7 @@ residual-seeded minimizer's A-residual is erratic.
 import numpy as np
 
 import rskrylov as rk
-from rskrylov.history import HistoryRecord, write_history_csv
+from rskrylov.history import write_history_csv
 
 spec = rk.BvpSpec(m=30, d=10.0)
 A = rk.make_bvp_matrix(spec)
@@ -27,10 +28,10 @@ b_inc = rk.make_bvp_rhs(spec, "inconsistent_xy")
 
 for label, b, tol in (("consistent", b_cons, 1e-12), ("inconsistent", b_inc, 1e-8)):
     print(f"--- {label} right-hand side ---")
-    records = []
+    reports = []
     for name in ("gmres", "rrgmres", "rsmar2", "dgmres"):
         rep = rk.SOLVERS[name](A, b, tol=tol, maxit=min(300, n), record_explicit=True)
-        records.append(HistoryRecord.from_report(rep))
+        reports.append(rep)
         h = rep.aresidual_history
         increases = int(np.sum(h[1:] > h[:-1]))
         print(f"  {name:8s} its={rep.iterations:4d} "
@@ -38,7 +39,7 @@ for label, b, tol in (("consistent", b_cons, 1e-12), ("inconsistent", b_inc, 1e-
               f"|Ar|/|Ar0|={h[-1] / h[0]:.2e} "
               f"A-residual increases: {increases}")
     out = f"grid_{label}_histories.csv"
-    write_history_csv(records, out)
+    write_history_csv(reports, out)
     print(f"  histories written to {out}\n")
 
 print("Plot res_norm (consistent) or ares_norm (inconsistent) against iter\n"

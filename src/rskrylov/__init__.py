@@ -12,7 +12,7 @@ from .arnoldi import ArnoldiState, ZeroSeedError, arnoldi_init, arnoldi_step
 from .cli import SOLVERS, cli_main
 from .gmres_family import dgmres_solve, gmres_solve, rrgmres_solve
 from .hessenberg_qr import BandedQr, HessenbergQr, SingularTriangularError
-from .history import HistoryRecord, read_history_csv, write_history_csv
+from .history import read_history_csv, write_history_csv
 from .lifting import lift
 from .matrixmarket import (
     MatrixMarketError,
@@ -98,7 +98,6 @@ __all__ = [
     "minares1_solve",
     "SOLVERS",
     "cli_main",
-    "HistoryRecord",
     "read_history_csv",
     "write_history_csv",
     "MatrixMarketError",

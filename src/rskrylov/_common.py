@@ -23,7 +23,12 @@ LIFT_RHO = 1e-4
 
 
 class Histories:
-    """Per-iteration residual, A-residual, estimate, and matvec logs."""
+    """Per-iteration residual, A-residual, estimate, and matvec logs.
+
+    The one copy of a run's norms: the stop rules read their floors
+    ``tol |r0|`` and ``tol |A r0|`` from row 0, and the lift's null-space
+    test (:func:`in_null_space`) reads rows 0 and -1.
+    """
 
     def __init__(self):
         self.res = []
@@ -85,21 +90,29 @@ def explicit_norms(A, b, x):
     return r, norm(r), norm(ar)
 
 
-def maybe_lift(hist, x, x0, r, arn, res_floor, termination):
+def in_null_space(hist, rn, arn):
+    """Whether a residual of norms ``rn = |r|`` and ``arn = |A r|`` is
+    numerically in null(A): ``rho <= LIFT_RHO``, with ``|r0|`` and
+    ``|A r0|`` read from history row 0."""
+    return arn * hist.res[0] <= LIFT_RHO * rn * hist.ares[0]
+
+
+def maybe_lift(hist, tol, x, x0, r, termination):
     """The rank-one lift of ``x`` when the run ended in the inconsistent
     regime: finished, with a residual ``r = b - A x`` above the convergence
-    floor that is numerically in null(A), ``rho <= LIFT_RHO``; else ``None``.
+    floor ``tol |r0|`` that is numerically in null(A) (:func:`in_null_space`);
+    else ``None``.
 
     A residual still partly in range(A) (a consistent run stopped by the
     A-residual rule just short of the residual floor) is not lifted: the
-    lift would move a correct iterate along it.  ``arn`` is ``|A r|`` as
-    the cycle checked it (``nan``, never lifted, where it did not), and
-    ``hist`` supplies ``|r0|`` and ``|A r0|``: no operator is applied.
+    lift would move a correct iterate along it.  ``|r|`` and ``|A r|`` are
+    the last history row, the explicit norms of ``x`` (``|A r|`` is ``nan``,
+    never lifted, where the run did not check it), and ``|r0|`` and
+    ``|A r0|`` row 0: no operator is applied.
     """
-    rnorm = norm(r)
-    if termination not in LIFT_TERMINATIONS or rnorm <= res_floor:
+    rn = hist.res[-1]
+    if termination not in LIFT_TERMINATIONS or rn <= tol * hist.res[0]:
         return None
-    if not arn * hist.res[0] <= LIFT_RHO * rnorm * hist.ares[0]:
+    if not in_null_space(hist, rn, hist.ares[-1]):
         return None
     return lift(x, x0, r)
-

@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .gmres_family import dgmres_solve, gmres_solve, rrgmres_solve
-from .history import HistoryRecord, write_history_csv
+from .history import write_history_csv
 from .minres_family import minares1_solve, minres_solve
 from .rsmar import rsmar1_solve, rsmar2_solve
 from .matrixmarket import (
@@ -277,8 +277,7 @@ def _cmd_solve(args):
     if report.lifted_solution is not None:
         print("  lifted solution available (inconsistent termination)")
     if args.history:
-        rec = HistoryRecord.from_report(report)
-        write_history_csv([rec], args.history)
+        write_history_csv([report], args.history)
         print(f"  history written to {args.history}")
     if args.out:
         x = report.solution
@@ -297,17 +296,17 @@ def _cmd_compare(args):
     if unknown:
         raise ValueError(f"unknown methods: {', '.join(unknown)}")
     A, b, x0, opts = _load_system(args)
-    records = []
+    reports = []
     for method in methods:
         t0 = time.perf_counter()
         report = SOLVERS[method](A, b, x0=x0, opts=opts)
         elapsed = time.perf_counter() - t0
-        records.append(HistoryRecord.from_report(report))
+        reports.append(report)
         print(
             f"{method}: iterations={report.iterations} termination={report.termination} "
             f"|Ar|={_norm_text(report.aresidual_history)} time={elapsed:.3f}s"
         )
-    write_history_csv(records, args.out)
+    write_history_csv(reports, args.out)
     print(f"joint history written to {args.out}")
     return 0
 

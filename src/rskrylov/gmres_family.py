@@ -56,8 +56,10 @@ check.  A run that stops there has spent step ``k + 1``'s product with
 
 Every exit of every monitor goes through ``_Monitor._end``, which makes
 the explicit norms of the returned iterate the last history row (the
-closure step's row after a closure) and hands on its ``r`` and ``|A r|``:
-neither a restart nor the lift applies ``A`` again.
+closure step's row after a closure) and hands on its ``r``: neither a
+restart nor the lift applies ``A`` again.  The history rows are the one
+copy of a run's norms: the floors ``tol |r0|`` and ``tol |A r0|`` are
+read from row 0, and the lift's null-space test from rows 0 and -1.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._common import (
-    LIFT_RHO,
     Histories,
     explicit_norms,
+    in_null_space,
     maybe_lift,
     norm,
     prepare,
@@ -94,7 +96,8 @@ __all__ = ["gmres_solve", "rrgmres_solve", "dgmres_solve"]
 
 
 class _CycleResult(NamedTuple):
-    """Outcome of one cycle: ``x``, ``r = b - A x`` and ``arn = |A r|``."""
+    """Outcome of one cycle: ``x`` and ``r = b - A x``, whose norms are
+    the last history row."""
 
     x: np.ndarray
     r: np.ndarray
@@ -102,7 +105,6 @@ class _CycleResult(NamedTuple):
     stop_rule: str | None
     detected_ell: int | None
     iters: int
-    arn: float
 
 
 class _Probe(NamedTuple):
@@ -154,9 +156,9 @@ class _Subproblem:
     # next Arnoldi step completes (see :meth:`_Monitor.record`)
     ride = None
 
-    def __init__(self, A, b, x_in, r0, opts, floors, hist):
+    def __init__(self, A, b, x_in, r0, opts, hist):
         self.A, self.b, self.x_in, self.r0 = A, b, x_in, r0
-        self.opts, self.floors, self.hist = opts, floors, hist
+        self.opts, self.hist = opts, hist
         self.beta1 = norm(r0)
         self.closed = False
 
@@ -178,15 +180,14 @@ class _Subproblem:
 
     def anchor(self, beta_hat):
         """Take ``beta_hat = |A r0|``; the first cycle also records it in
-        the empty initial history entries and sets the A-residual floor."""
+        the empty initial history entries, where the A-residual floor
+        reads it."""
         self.beta_hat = beta_hat
         hist = self.hist
         if np.isnan(hist.ares[0]):
             hist.ares[0] = beta_hat
         if np.isnan(hist.est[0]):
             hist.est[0] = beta_hat
-        if self.floors["ares"] is None:
-            self.floors["ares"] = self.opts.tol * beta_hat
 
     def coefficients(self, k):
         """``(base, z)`` with iterate ``k`` equal to ``base + V z``, ``V``
@@ -338,7 +339,9 @@ class _Monitor:
     (``best``, smallest explicit ``|A r|``, the fallback whenever the
     subproblem degenerates), the last iterate recorded (``last``), the
     growth guard, the closure guard, the polish past the A-residual floor
-    and the ``maxit`` tail.  Every exit goes through :meth:`_end`.
+    and the ``maxit`` tail.  Every exit goes through :meth:`_end`.  The
+    floors are ``tol`` times history row 0: ``res_floor`` is known when a
+    cycle starts, ``|A r0|`` once the first step has run.
 
     :meth:`record` asks the Arnoldi state whether step ``k + 1`` runs a
     delayed pass (``delays_next``).  If so, it leaves the sum ``V z`` of
@@ -350,7 +353,8 @@ class _Monitor:
 
     def __init__(self, sub, budget):
         self.sub, self.A, self.b = sub, sub.A, sub.b
-        self.hist, self.floors = sub.hist, sub.floors
+        self.hist, self.tol = sub.hist, sub.opts.tol
+        self.res_floor = self.tol * self.hist.res[0]
         self.budget = budget
         self.deferred = None  # (k, est, x) of the iterate the pass sums
         self.row0 = len(self.hist.res) - 1  # history row of iterate 0
@@ -392,7 +396,7 @@ class _Monitor:
         else:
             self.hist.end_at(self.row0 + j, rn, arn, self.A.count)
         iters = j if ell is None else ell
-        return _CycleResult(x, r, termination, stop_rule, ell, iters, arn)
+        return _CycleResult(x, r, termination, stop_rule, ell, iters)
 
     def record(self, k, est):
         """Check iterate ``k``, or, when step ``k + 1`` of a kept basis
@@ -413,7 +417,7 @@ class _Monitor:
 
     def _check(self, k, est, x):
         """Check iterate ``k`` explicitly, add its row, apply the rules."""
-        hist, floors = self.hist, self.floors
+        hist = self.hist
         r, rn, arn = explicit_norms(self.A, self.b, x)
         if self._rose(rn, arn, 2.0):
             # A clear increase of the minimized norm contradicts the
@@ -424,9 +428,9 @@ class _Monitor:
         best_arn = self.best.arn
         if arn < best_arn:
             self.best = p
-        if rn <= floors["res"]:
+        if rn <= self.res_floor:
             return self._end(p, CONVERGED, "residual", None)
-        if arn <= floors["ares"]:
+        if arn <= self.tol * hist.ares[0]:
             # Past the floor a polishing method runs on (the first hit
             # counts) while |A r| keeps improving, then returns the best;
             # at the first hit the best is this iterate.
@@ -529,14 +533,13 @@ class _EstimateMonitor(_Monitor):
             held = None if self.sub.keeps_basis else self.sub.iterate(j)
             self.best = _Probe(j, held, None, rn, aest)
         best = self.best
-        if aest <= self.floors["ares"]:
+        floor = self.tol * self.hist.ares[0]
+        if aest <= floor:
             p = self._explicit(j)
-            if p.arn <= 10.0 * self.floors["ares"]:
+            if p.arn <= 10.0 * floor:
                 return self._end(p, CONVERGED, "aresidual", None)
             return self.fallback(None, probe=p)
-        if aest > 10.0 * best.arn and (
-            best.arn * self.hist.res[0] <= LIFT_RHO * best.rn * self.hist.ares[0]
-        ):
+        if aest > 10.0 * best.arn and in_null_space(self.hist, best.rn, best.arn):
             return self.fallback(None)
         return None
 
@@ -547,7 +550,7 @@ class _EstimateMonitor(_Monitor):
             self.hist.append(np.nan, est, est, self.A.count)
             return self._ares_rules(k, est, np.nan)
         self.hist.append(est, np.nan, est, self.A.count)
-        if not self.residual_rule or est > self.floors["res"]:
+        if not self.residual_rule or est > self.res_floor:
             return None
         try:
             x = self.sub.iterate(k)
@@ -555,7 +558,7 @@ class _EstimateMonitor(_Monitor):
             x = None
         if x is not None:
             p = self._residual(k, x)
-            if p.rn <= 10.0 * self.floors["res"]:
+            if p.rn <= 10.0 * self.res_floor:
                 return self._end(p, CONVERGED, "residual", None)
         self.residual_rule = False
         return None
@@ -615,7 +618,7 @@ def _cycle(sub, budget):
         if np.isnan(hist.ares[-1]):  # a restart after an estimate-mode tail
             hist.ares[-1] = 0.0
         rule = "residual" if sub.beta1 <= sub.opts.breakdown_tol else "aresidual"
-        return _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0, hist.ares[-1])
+        return _CycleResult(sub.x_in, sub.r0, CONVERGED, rule, None, 0)
     if len(sub.hist.mv) == 1:
         # The first cycle: the initial row counts the seed's matvecs.
         sub.hist.mv[0] = sub.A.count
@@ -646,24 +649,21 @@ def _solve(method, kind, A, b, x0, opts, options):
     lifted = None
     if beta1 <= opts.breakdown_tol:
         hist.append(beta1, 0.0, beta1, A.count)
-        result = _CycleResult(x0, r0, CONVERGED, "residual", None, 0, 0.0)
+        result = _CycleResult(x0, r0, CONVERGED, "residual", None, 0)
     else:
         # The initial estimate is of the minimized norm (|A r0| comes later).
         hist.append(beta1, np.nan, np.nan if kind.minimized else beta1, A.count)
-        floors = {"res": opts.tol * beta1, "ares": None}
         budget = opts.maxit if opts.maxit is not None else A.n
         x, r = x0, r0
         while True:
             size = budget if restart is None else min(restart, budget)
-            result = _cycle(kind(A, b, x, r, opts, floors, hist), size)
+            result = _cycle(kind(A, b, x, r, opts, hist), size)
             budget -= result.iters
             x, r = result.x, result.r
             if result.termination != MAXIT or budget <= 0 or restart is None:
                 break
         if kind.lift:
-            lifted = maybe_lift(
-                hist, x, x0, r, result.arn, floors["res"], result.termination
-            )
+            lifted = maybe_lift(hist, opts.tol, x, x0, r, result.termination)
     return SolveReport(
         method=method,
         solution=result.x,

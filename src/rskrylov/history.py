@@ -1,80 +1,51 @@
-"""Convergence-history records and their CSV serialization."""
+"""Convergence histories of solver runs and their CSV serialization.
+
+A history CSV is written from the solve reports themselves
+(:class:`~rskrylov.SolveReport`): their ``residual_history``,
+``aresidual_history`` and ``matvec_history`` rows, labelled by their
+``record_explicit``.
+"""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["HistoryRecord", "write_history_csv", "read_history_csv"]
+__all__ = ["write_history_csv", "read_history_csv"]
 
 CSV_HEADER = ["method", "iter", "res_norm", "ares_norm", "matvecs"]
 
 
-@dataclass
-class HistoryRecord:
-    """Per-iteration convergence data of one solver run.
+def write_history_csv(reports, path):
+    """Write the histories of solve reports to a UTF-8 CSV file.
 
-    Rows cover the initial values plus one entry per completed iteration;
-    ``matvecs`` holds the cumulative matvec count at each row.
-    """
-
-    method: str
-    res_norms: np.ndarray
-    ares_norms: np.ndarray
-    matvecs: np.ndarray
-    termination: str
-    explicit: bool = True
-
-    def __post_init__(self):
-        rows = len(self.res_norms)
-        if not (len(self.ares_norms) == len(self.matvecs) == rows):
-            raise ValueError("history columns must have equal lengths")
-
-    @classmethod
-    def from_report(cls, report):
-        """The record of a :class:`SolveReport`, explicit or estimated as
-        its solve monitored."""
-        return cls(
-            method=report.method,
-            res_norms=np.asarray(report.residual_history),
-            ares_norms=np.asarray(report.aresidual_history),
-            matvecs=np.asarray(report.matvec_history),
-            termination=report.termination,
-            explicit=report.record_explicit,
-        )
-
-
-def write_history_csv(records, path):
-    """Write history records to a UTF-8 CSV file.
-
+    Rows cover each report's initial values plus one entry per completed
+    iteration; ``matvecs`` holds the cumulative matvec count at each row.
     The first line is a comment recording whether the residual columns
     hold explicitly recomputed norms or recurrence estimates, read from
-    the records' ``explicit`` (a file without records says explicit).
-    All records of one file are of one kind, a ``ValueError`` otherwise;
-    the last row of an estimated record holds the explicit norms of its
-    answer.  Numbers use the shortest round-trip decimal representation.
+    the reports' ``record_explicit`` (a file without reports says
+    explicit).  All reports of one file are of one kind, and the three
+    history columns of a report are of one length, a ``ValueError``
+    otherwise; the last row of an estimated report holds the explicit
+    norms of its answer.  Numbers use the shortest round-trip decimal
+    representation.
     """
-    records = list(records)
-    explicit = all(rec.explicit for rec in records)
-    if any(rec.explicit != explicit for rec in records):
+    reports = list(reports)
+    explicit = all(rep.record_explicit for rep in reports)
+    if any(rep.record_explicit != explicit for rep in reports):
         raise ValueError("cannot mix explicit and estimated histories in one file")
+    for rep in reports:
+        rows = len(rep.residual_history)
+        if not (len(rep.aresidual_history) == len(rep.matvec_history) == rows):
+            raise ValueError("history columns must have equal lengths")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# residuals: {'explicit' if explicit else 'estimated'}\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            for i in range(len(rec.res_norms)):
-                writer.writerow(
-                    [
-                        rec.method,
-                        i,
-                        repr(float(rec.res_norms[i])),
-                        repr(float(rec.ares_norms[i])),
-                        int(rec.matvecs[i]),
-                    ]
-                )
+        for rep in reports:
+            for i, (rn, arn, mv) in enumerate(
+                zip(rep.residual_history, rep.aresidual_history, rep.matvec_history)
+            ):
+                writer.writerow([rep.method, i, repr(float(rn)), repr(float(arn)), int(mv)])
 
 
 def read_history_csv(path):

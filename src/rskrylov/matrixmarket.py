@@ -254,9 +254,12 @@ def _in_range(index, n):
 
 def _raise_bad_line(path, block, lineno, n, error):
     """Raise the error of the first line that breaks the format in the
-    failed ``block``, whose lines follow line ``lineno``; when every line
-    passes the rules below, numpy's ``error`` for the block."""
-    for lineno, line in enumerate(block.decode("utf-8").split("\n"), start=lineno + 1):
+    failed ``block``, whose lines follow line ``lineno``: the first line
+    that breaks the rules below, else the first that numpy alone refuses
+    (such as ``1_0.5``, which Python reads as 10.5), with numpy's message
+    for that line; numpy's ``error`` for the block if no line fails."""
+    lines = list(enumerate(block.decode("utf-8").split("\n"), start=lineno + 1))
+    for lineno, line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -275,8 +278,11 @@ def _raise_bad_line(path, block, lineno, n, error):
                 f"{path}:{lineno}: index ({i}, {j}) out of range for "
                 f"{n} x {n} matrix (indices are 1-based)"
             )
-    # Only numpy refuses a line, such as 1_0.5, which Python reads as
-    # 10.5; its message counts the row within this block.
+    for lineno, line in lines:
+        try:
+            _parse_entries(line.encode("utf-8"))
+        except (ValueError, OverflowError, DeprecationWarning) as exc:
+            raise MatrixMarketError(f"{path}:{lineno}: bad entry: {exc}")
     raise MatrixMarketError(f"{path}: bad entries: {error}")
 
 

@@ -192,14 +192,10 @@ def scale_max_abs(A):
     unit max-norm.  Works on sparse and dense matrices.
     """
     if sp.issparse(A):
-        if A.nnz == 0:
-            raise ValueError("cannot scale the zero matrix")
-        rho = float(np.abs(A.data).max())
-        if rho == 0.0:
-            raise ValueError("cannot scale the zero matrix")
-        return A.tocsr() / rho, rho
-    M = np.asarray(A, dtype=np.float64)
-    rho = float(np.abs(M).max())
+        M, rho = A.tocsr(), float(np.abs(A.data).max(initial=0.0))
+    else:
+        M = np.asarray(A, dtype=np.float64)
+        rho = float(np.abs(M).max())
     if rho == 0.0:
         raise ValueError("cannot scale the zero matrix")
     return M / rho, rho

@@ -5,6 +5,7 @@ from scipy.linalg import solve_triangular
 
 import rskrylov as rk
 from rskrylov import BandedQr, HessenbergQr, SingularTriangularError
+from rskrylov import hessenberg_qr
 from rskrylov.hessenberg_qr import HessenbergQrWithQ, solve_upper
 
 
@@ -216,6 +217,26 @@ def test_back_substitution_of_a_leading_block():
         assert np.array_equal(rhs, kept)
         strided += not R.flags.c_contiguous
     assert strided > 50
+
+
+def test_back_substitution_without_the_private_kernel(monkeypatch):
+    # A numpy without _umath_linalg.solve1 solves each diagonal block with
+    # np.linalg.solve, the same LAPACK dgesv: the same bits, here over the
+    # three blocks of 65 rows.
+    rng = np.random.default_rng(11)
+    R = np.triu(rng.standard_normal((65, 65)))
+    R[np.diag_indices(65)] = 2.0 + np.abs(np.diag(R))
+    rhs = rng.standard_normal(65)
+    z = solve_upper(R, rhs)
+    blocks = []
+
+    def solve(a, b):
+        blocks.append(len(b))
+        return np.linalg.solve(a, b)
+
+    monkeypatch.setattr(hessenberg_qr, "_gesv", solve)
+    assert np.array_equal(solve_upper(R, rhs), z)
+    assert blocks == [32, 32, 1]
 
 
 def test_banded_first_column_identity_case():

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import rskrylov as rk
 from rskrylov.cli import cli_main
-from rskrylov.history import HistoryRecord, read_history_csv, write_history_csv
+from rskrylov.history import read_history_csv, write_history_csv
 from rskrylov.matrixmarket import (
     _READ_BLOCK,
     MatrixMarketError,
@@ -165,9 +165,12 @@ def test_comment_and_blank_lines_keep_line_numbers(tmp_path):
     _, msg = _read_error(tmp_path, text)
     assert ":11: bad entry" in msg
     path = tmp_path / "ok.mtx"
-    path.write_text(text.replace("3 2 x", "3 2 0.5"))
-    A = read_matrix_market(path)
-    assert A.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, -2.5], [0.0, 0.5, 0.0]]
+    ok = text.replace("3 2 x", "3 2 0.5")
+    # a last comment line may end the file without a line end
+    for body in (ok, ok + "% last comment, no line end"):
+        path.write_text(body)
+        A = read_matrix_market(path)
+        assert A.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, -2.5], [0.0, 0.5, 0.0]]
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
@@ -261,9 +264,10 @@ def test_errors_in_the_last_block_report_their_line(tmp_path):
         f"{path}:{k + 1}: index (7, 501) out of range for 500 x 500 matrix "
         "(indices are 1-based)"
     )
-    # Python reads 1_0.5 as a float, numpy does not: its own message.
+    # Python reads 1_0.5 as a float, numpy does not: numpy's message for
+    # that line alone.
     msg = error(lines[:k] + ["7 7 1_0.5"] + lines[k + 1 :])
-    assert msg.startswith(f"{path}: bad entries: ") and "'1_0.5'" in msg
+    assert msg.startswith(f"{path}:{k + 1}: bad entry: ") and "'1_0.5'" in msg
     assert error(lines[:k] + lines[k + 1 :]) == (
         f"{path}: header announced 30000 entries, found 29999"
     )
@@ -444,6 +448,22 @@ def test_read_vector_bad_value_line_number(tmp_path, text, lineno):
         read_vector(path)
 
 
+def _history_report(method, res, ares, matvecs, explicit=True):
+    """A report that carries only histories, as the CSV writer reads them."""
+    return rk.SolveReport(
+        method=method,
+        solution=np.zeros(1),
+        lifted_solution=None,
+        residual_history=np.asarray(res),
+        aresidual_history=np.asarray(ares),
+        estimate_history=np.asarray(res),
+        matvec_history=np.asarray(matvecs),
+        matvec_count=int(matvecs[-1]),
+        termination="converged",
+        record_explicit=explicit,
+    )
+
+
 def test_history_csv_header_only(tmp_path):
     path = tmp_path / "h.csv"
     write_history_csv([], path)
@@ -453,15 +473,9 @@ def test_history_csv_header_only(tmp_path):
 
 
 def test_history_csv_rows_and_roundtrip(tmp_path):
-    rec = HistoryRecord(
-        method="gmres",
-        res_norms=np.array([1.0, 0.5, 0.25]),
-        ares_norms=np.array([2.0, 1.0, 0.125]),
-        matvecs=np.array([0, 3, 6]),
-        termination="converged",
-    )
+    rep = _history_report("gmres", [1.0, 0.5, 0.25], [2.0, 1.0, 0.125], [0, 3, 6])
     path = tmp_path / "h.csv"
-    write_history_csv([rec], path)
+    write_history_csv([rep], path)
     comment, rows = read_history_csv(path)
     assert len(rows) == 3
     assert rows[2] == {
@@ -477,9 +491,8 @@ def test_history_csv_exact_roundtrip_from_solve(tmp_path):
     A, _ = rk.make_random_range_symmetric(rk.RandomSpec(n=12, rank=9, seed=0))
     b = A @ np.random.default_rng(0).standard_normal(12)
     rep = rk.gmres_solve(A, b, tol=1e-10, record_explicit=True)
-    rec = HistoryRecord.from_report(rep)
     path = tmp_path / "h.csv"
-    write_history_csv([rec], path)
+    write_history_csv([rep], path)
     _, rows = read_history_csv(path)
     # shortest round-trip decimals reproduce the doubles bit for bit
     for i, row in enumerate(rows):
@@ -494,7 +507,7 @@ def test_history_label_follows_the_report(tmp_path, explicit):
     rep = rk.gmres_solve(np.diag([1.0, 2, 3, 0]), np.ones(4), record_explicit=explicit)
     assert rep.record_explicit is explicit
     path = tmp_path / "h.csv"
-    write_history_csv([HistoryRecord.from_report(rep)], path)
+    write_history_csv([rep], path)
     comment, _ = read_history_csv(path)
     assert comment == f"# residuals: {'explicit' if explicit else 'estimated'}"
 
@@ -502,30 +515,22 @@ def test_history_label_follows_the_report(tmp_path, explicit):
 def test_history_csv_byte_deterministic(tmp_path):
     A, _ = rk.make_random_range_symmetric(rk.RandomSpec(n=10, rank=7, seed=3))
     b = A @ np.random.default_rng(3).standard_normal(10)
-    recs = [
-        HistoryRecord.from_report(rk.gmres_solve(A, b, tol=1e-10)),
-        HistoryRecord.from_report(rk.rsmar2_solve(A, b, tol=1e-10)),
-    ]
+    reps = [rk.gmres_solve(A, b, tol=1e-10), rk.rsmar2_solve(A, b, tol=1e-10)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_history_csv(recs, p1)
-    write_history_csv(recs, p2)
+    write_history_csv(reps, p1)
+    write_history_csv(reps, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_history_mode_mixing_rejected(tmp_path):
-    rec = HistoryRecord(
-        method="gmres",
-        res_norms=np.ones(1),
-        ares_norms=np.ones(1),
-        matvecs=np.zeros(1, dtype=int),
-        termination="converged",
-        explicit=False,
-    )
+    rep = _history_report("gmres", np.ones(1), np.ones(1), np.zeros(1, dtype=int), False)
     with pytest.raises(ValueError):
-        write_history_csv([dataclasses.replace(rec, explicit=True), rec], tmp_path / "h.csv")
-    # the mode is the records': estimated here, explicit for no records
-    for records, comment in (([rec], "# residuals: estimated"), ([], "# residuals: explicit")):
-        write_history_csv(records, tmp_path / "h.csv")
+        write_history_csv(
+            [dataclasses.replace(rep, record_explicit=True), rep], tmp_path / "h.csv"
+        )
+    # the mode is the reports': estimated here, explicit for no reports
+    for reports, comment in (([rep], "# residuals: estimated"), ([], "# residuals: explicit")):
+        write_history_csv(reports, tmp_path / "h.csv")
         assert read_history_csv(tmp_path / "h.csv")[0] == comment
 
 
@@ -941,7 +946,10 @@ def test_header_and_comments_longer_than_a_read_block(tmp_path):
 
 def test_history_record_checks_its_columns(tmp_path):
     with pytest.raises(ValueError, match="history columns must have equal lengths"):
-        HistoryRecord("gmres", np.ones(3), np.ones(2), np.arange(3), "maxit")
+        write_history_csv(
+            [_history_report("gmres", np.ones(3), np.ones(2), np.arange(3))],
+            tmp_path / "h.csv",
+        )
     path = tmp_path / "h.csv"
     path.write_text("# residuals: explicit\nmethod,iter,res,ares,matvecs\n")
     with pytest.raises(ValueError) as err:

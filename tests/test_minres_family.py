@@ -189,7 +189,7 @@ def test_minres_aresidual_estimate_matches_explicit(consistent):
     Aop, b, x0, r0, opts = prepare(A, b, None, None)
     hist = Histories()
     hist.append(np.linalg.norm(r0), np.nan, np.nan, 0)
-    sub = _Minres(Aop, b, x0, r0, opts, {"res": 0.0, "ares": None}, hist)
+    sub = _Minres(Aop, b, x0, r0, opts, hist)
     sub.seed()
     for k in range(1, 13):
         x = sub.x
@@ -207,7 +207,7 @@ def test_minares_w_recursion_consistency():
     Aop, b, x0, r0, opts = prepare(A, b, None, None, tol=1e-30)
     hist = Histories()
     hist.append(np.linalg.norm(r0), np.nan, np.nan, 0)
-    sub = _Minares(Aop, b, x0, r0, opts, {"res": 0.0, "ares": None}, hist)
+    sub = _Minares(Aop, b, x0, r0, opts, hist)
     sub.seed()
     ws = []
     for k in range(1, 7):
@@ -353,7 +353,7 @@ def test_in_place_steps_match_the_reference_bytes(kind, reference):
     Aop, b, x0, r0, opts = prepare(A, b, None, None)
     hist = Histories()
     hist.append(np.linalg.norm(r0), np.nan, np.nan, 0)
-    sub = kind(Aop, b, x0, r0, opts, {"res": 0.0, "ares": None}, hist)
+    sub = kind(Aop, b, x0, r0, opts, hist)
     sub.seed()
     steps = 50
     for k, x in enumerate(reference(A, r0, steps), start=1):

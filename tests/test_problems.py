@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import rskrylov as rk
@@ -138,6 +139,12 @@ def test_scale_max_abs():
     assert_allclose(B, A)
     with pytest.raises(ValueError):
         rk.scale_max_abs(np.zeros((3, 3)))
+    # a sparse matrix that stores no entries, or stores only zeros
+    stored_zeros = sp.csr_matrix((np.zeros(2), ([0, 1], [0, 1])), shape=(3, 3))
+    assert stored_zeros.nnz == 2
+    for Z in (sp.csr_matrix((3, 3)), stored_zeros):
+        with pytest.raises(ValueError, match="cannot scale the zero matrix"):
+            rk.scale_max_abs(Z)
 
 
 def test_scale_max_abs_bvp():
