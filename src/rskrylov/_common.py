@@ -69,17 +69,14 @@ def prepare(A, b, x0, opts, **overrides):
         raise TypeError("pass either opts or keyword options, not both")
     A = CountingOperator(A)
     b = as_vector(b, A.n)
-    if x0 is None:
-        x0 = np.zeros(A.n)
-    else:
+    if x0 is not None:
         x0 = as_vector(x0, A.n).copy()
     for name, v in (("b", b), ("x0", x0)):
-        if not np.all(np.isfinite(v)):
+        if v is not None and not np.all(np.isfinite(v)):
             raise ValueError(f"{name} has non-finite entries")
-    if np.any(x0):
-        r0 = b - A.apply(x0)
-    else:
-        r0 = b.copy()
+    if x0 is None:  # the zero guess, known finite and zero
+        return A, b, np.zeros(A.n), b.copy(), opts
+    r0 = b - A.apply(x0) if np.any(x0) else b.copy()
     return A, b, x0, r0, opts
 
 

@@ -216,7 +216,7 @@ def arnoldi_init(A, seed, breakdown_tol=1e-13, capacity=None):
         raise ValueError(f"seed has shape {seed.shape}, expected ({A.n},)")
     if capacity is not None and capacity < 1:
         raise ValueError(f"capacity must be at least 1, got {capacity}")
-    seed_norm = float(np.linalg.norm(seed))
+    seed_norm = norm(seed)
     if seed_norm <= breakdown_tol:
         raise ZeroSeedError("seed vector is numerically zero (already solved)")
     return ArnoldiState(seed / seed_norm, seed_norm, breakdown_tol, capacity)

@@ -45,7 +45,10 @@ explicit check, and returns a best iterate that has been checked
 explicitly whenever the estimates cannot be trusted
 (:class:`_EstimateMonitor`).  The estimate is the recurrence value of
 DGMRES, the RSMAR variants and MINARES; GMRES, RRGMRES and MINRES get it
-for the previous iterate, one step late.
+for the previous iterate, one step late.  GMRES's estimate and the outer
+columns of DGMRES and RSMAR2 read ``H q``, ``q`` the last column of the
+Givens factor ``Q`` of the Hessenberg ``H``: each keeps it by an O(k)
+recurrence over the new rotation, and no column of ``Q`` is stored.
 
 When the next Arnoldi step is a delayed one (:mod:`rskrylov.arnoldi`),
 the explicit monitor hands it the coefficients of iterate ``k``: its
@@ -78,12 +81,7 @@ from ._common import (
     prepare,
 )
 from .arnoldi import ZeroSeedError, arnoldi_init, arnoldi_step
-from .hessenberg_qr import (
-    BandedQr,
-    HessenbergQr,
-    HessenbergQrWithQ,
-    SingularTriangularError,
-)
+from .hessenberg_qr import BandedQr, HessenbergQr, SingularTriangularError
 from .operators import (
     CONVERGED,
     HAPPY_BREAKDOWN,
@@ -204,30 +202,46 @@ class _Subproblem:
         return self.iterate(k)
 
 
+def _rotated(a, h, b, hq):
+    """``a h - b [hq; 0]``, ``h`` one entry longer than ``hq``."""
+    out = a * h
+    out[:-1] -= b * hq
+    return out
+
+
 class _Gmres(_Subproblem):
     """Residual norm over the space of ``r0``: the rotated right-hand
-    side's tail, the last column of ``Q`` its direction.  Restarted, it
-    checks explicitly by default: on inconsistent grids its estimate-mode
-    stop can lift to an answer further from the pseudoinverse solution."""
+    side's tail, the last column ``q`` of ``Q`` its direction.  Restarted,
+    it checks explicitly by default: on inconsistent grids its
+    estimate-mode stop can lift to an answer further from the
+    pseudoinverse solution.
+
+    The A-residual estimate reads ``hq = H q``, which each step updates
+    with the last rotation ``(c, s)`` in O(k): the new ``q`` is
+    ``-s [q; 0] + c e_last``, so the new ``H q`` is ``-s [hq; 0] + c h``,
+    ``h`` the new Hessenberg column.  No column of ``Q`` is stored.
+    """
 
     explicit_when_restarted = True
 
     def start(self):
-        self.qr = HessenbergQrWithQ(self.beta1, self.capacity)
+        self.qr = HessenbergQr(self.beta1, self.capacity)
 
     def step(self, k):
         self.closed = arnoldi_step(self.state, self.A, ride=self.ride) == "breakdown"
         col = self.state.column(k - 1)
-        self.t_prev, self.q_prev = self.qr.t[-1], self.qr.q_last
-        tail = self.qr.append_column(col, 0.0)
         if k == 1:
             self.anchor(self.beta1 * norm(col))
-        return tail
+            self.hq = col
+        else:
+            _, c, s = self.qr.rotations[-1]
+            self.hq = _rotated(c, col, s, self.hq)
+        self.t_prev = self.qr.t[-1]
+        return self.qr.append_column(col, 0.0)
 
     def ares_estimate(self, k):
-        # r_{k-1} = t_prev V_k q_prev, so A r_{k-1} = t_prev V_{k+1} H q_prev
-        hq = self.state.hessenberg(k) @ self.q_prev
-        return abs(self.t_prev) * norm(hq)
+        # r_{k-1} = t_prev V_k q, so A r_{k-1} = t_prev V_{k+1} H q
+        return abs(self.t_prev) * norm(self.hq)
 
 
 class _Rrgmres(_Subproblem):
@@ -281,6 +295,13 @@ class _TwoLevel(_Subproblem):
     is assembled column by column, never as a dense matrix product.  The
     root sum of squares of the two outer tail entries is the A-residual
     norm of the iterate.
+
+    Outer column ``k`` is ``H Q e_k``, and the inner append's rotation
+    ``(c, s)`` makes ``Q e_k = c [q; 0] + s e_last``, ``q`` the last column
+    of the previous inner ``Q``, so the column is ``s h + c [hq; 0]`` with
+    ``h`` the next Hessenberg column and ``hq = H q`` kept from the step
+    before, which then becomes ``c h - s [hq; 0]``: O(k) per step, and no
+    column of ``Q`` is stored.
     """
 
     minimized = 1
@@ -298,8 +319,9 @@ class _TwoLevel(_Subproblem):
             ar0 = (s * col1[0], s * col1[1])
         if self.beta_hat <= self.opts.breakdown_tol:
             raise ZeroSeedError("A r0 is numerically zero")
-        self.inner = HessenbergQrWithQ(s, self.capacity)
+        self.inner = HessenbergQr(s, self.capacity)
         self.outer = BandedQr(ar0, self.capacity)
+        self.hq = col1
 
     def step(self, k):
         state = self.state
@@ -310,8 +332,10 @@ class _TwoLevel(_Subproblem):
         self.closed = state.k < k + 1
         if self.closed:
             return 0.0
-        htcol = state.hessenberg(k + 1) @ self.inner.q_new_col
-        return self.outer.append_column(htcol)
+        _, c, s = self.inner.rotations[-1]
+        col, hq = state.column(k), self.hq
+        self.hq = _rotated(c, col, s, hq)
+        return self.outer.append_column(_rotated(s, col, -c, hq))
 
     def coefficients(self, k):
         return self.x_in, self.inner.solve(k, self.outer.solve(k))

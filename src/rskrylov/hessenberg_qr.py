@@ -56,7 +56,7 @@ try:
 except ImportError:  # a numpy without that private module
     _gesv = np.linalg.solve
 
-__all__ = ["SingularTriangularError", "HessenbergQr", "HessenbergQrWithQ", "BandedQr"]
+__all__ = ["SingularTriangularError", "HessenbergQr", "BandedQr"]
 
 
 class SingularTriangularError(np.linalg.LinAlgError):
@@ -260,39 +260,3 @@ class BandedQr(HessenbergQr):
 
     band = 2
 
-
-class HessenbergQrWithQ(HessenbergQr):
-    """:class:`HessenbergQr` that also tracks columns of the orthogonal
-    factor, for the second factorization level of rsmar2 and dgmres and
-    for GMRES, whose A-residual estimate reads the last one.
-
-    After each append, ``q_new_col`` is column ``k`` of ``Q_{k+1}`` (the
-    combination of Hessenberg columns that the new triangular column
-    stands for) and ``q_last`` is the last column of the same ``Q`` (the
-    direction of the subproblem residual: ``g - H y = t[-1] q_last``).
-    """
-
-    def __init__(self, rhs_seed, capacity=8):
-        super().__init__(rhs_seed, capacity)
-        self.q_last = np.array([1.0])
-        self.q_new_col = None
-
-    def append_column(self, column, rhs_append=0.0):
-        tail = super().append_column(column, rhs_append)
-        _, c, s = self.rotations[-1]
-        # Q_{k+1} e_{k+1} = c * [qlast; 0] + s * e_{k+2} and the running
-        # last column becomes -s * [qlast; 0] + c * e_{k+2}.
-        self.q_new_col = _combine(c, s, self.q_last)
-        self.q_last = _combine(-s, c, self.q_last)
-        return tail
-
-
-def _combine(a, b, q):
-    """``a * [q; 0] + b * e_last``, entry by entry.  The zero terms are
-    added too: ``-0.0 + 0.0`` is ``+0.0``, so they fix the sign of zero
-    entries exactly as the dense sum does."""
-    out = np.empty(len(q) + 1)
-    head = np.multiply(q, a, out=out[:-1])
-    head += b * 0.0
-    out[-1] = a * 0.0 + b * 1.0
-    return out

@@ -41,6 +41,7 @@ from __future__ import annotations
 import io
 import itertools
 import os
+import re
 import stat
 import warnings
 
@@ -257,7 +258,8 @@ def _raise_bad_line(path, block, lineno, n, error):
     failed ``block``, whose lines follow line ``lineno``: the first line
     that breaks the rules below, else the first that numpy alone refuses
     (such as ``1_0.5``, which Python reads as 10.5), with numpy's message
-    for that line; numpy's ``error`` for the block if no line fails."""
+    for that line less its `` at row R, column C`` (the line is row 0 of
+    the text numpy saw); numpy's ``error`` for the block if no line fails."""
     lines = list(enumerate(block.decode("utf-8").split("\n"), start=lineno + 1))
     for lineno, line in lines:
         stripped = line.strip()
@@ -282,7 +284,8 @@ def _raise_bad_line(path, block, lineno, n, error):
         try:
             _parse_entries(line.encode("utf-8"))
         except (ValueError, OverflowError, DeprecationWarning) as exc:
-            raise MatrixMarketError(f"{path}:{lineno}: bad entry: {exc}")
+            msg = re.sub(r" at row \d+, column \d+(?=\.?$)", "", str(exc))
+            raise MatrixMarketError(f"{path}:{lineno}: bad entry: {msg}")
     raise MatrixMarketError(f"{path}: bad entries: {error}")
 
 

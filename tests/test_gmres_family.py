@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import rskrylov as rk
 from rskrylov import arnoldi, hessenberg_qr
+from rskrylov._common import Histories, prepare
+from rskrylov.gmres_family import _Dgmres, _Gmres
 from conftest import assert_same_report, make_criterion07_instance
 
 
@@ -286,6 +288,62 @@ def test_rrgmres_estimate_tracks_explicit_residual_on_grid():
     rep = rk.rrgmres_solve(A, b, tol=1e-12, maxit=400, record_explicit=True)
     ratio = rep.estimate_history / rep.residual_history
     assert np.all(np.abs(ratio - 1.0) <= 0.01)
+
+
+def _subproblem(kind, A, b):
+    """A ``kind`` subproblem of a first cycle from ``x0 = 0``, seeded for
+    ``A.shape[0]`` steps."""
+    Aop, b, x0, r0, opts = prepare(A, b, None, None)
+    hist = Histories()
+    hist.append(np.linalg.norm(r0), np.nan, np.nan, 0)
+    sub = kind(Aop, b, x0, r0, opts, hist)
+    sub.seed(Aop.n)
+    return sub
+
+
+def _hq_pairs(m, steps):
+    """``(got, want, H)`` at every step up to ``steps`` or closure of
+    gmres and dgmres on the ``m x m`` grid: gmres's ``H q`` against the
+    Hessenberg times the last column of the previous ``q_matrix()``, and
+    the two-level ``H q`` and outer column against the Hessenberg times
+    the last and the ``k``-th column of the inner ``q_matrix()``."""
+    A, b = grid_system(m)
+    sub = _subproblem(_Gmres, A, b)
+    for k in range(1, steps + 1):
+        q = sub.qr.q_matrix()[:, -1]
+        sub.step(k)
+        H = sub.state.hessenberg(k)
+        yield sub.hq, H @ q, H
+        if sub.closed:
+            break
+    sub = _subproblem(_Dgmres, A, b)
+    outer, append = [], sub.outer.append_column
+    sub.outer.append_column = lambda col: append(outer.append(col) or col)
+    for k in range(1, steps + 1):
+        sub.step(k)
+        if sub.closed:
+            break
+        H, Q = sub.state.hessenberg(k + 1), sub.inner.q_matrix()
+        yield sub.hq, H @ Q[:, -1], H
+        yield outer[-1], H @ Q[:, k - 1], H
+
+
+def test_hq_recurrence_matches_the_dense_product():
+    # H q, q the last column of the inner Givens factor, is kept by one
+    # O(k) update per rotation, and so is the outer column H Q e_k of the
+    # two-level subproblem.  On the m = 30 grid they match the dense
+    # products at every step.
+    pairs = list(_hq_pairs(30, 150))
+    assert len(pairs) == 3 * 150
+    for got, want, _ in pairs:
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # On the m = 10 grid both run to closure at n = 100, where |H q| falls
+    # below 1e-9 |H|: there the dense product is no more accurate than the
+    # recurrence, and the two agree to the rounding of |H|.
+    pairs = list(_hq_pairs(10, 200))
+    assert len(pairs) == 100 + 2 * 99
+    for got, want, H in pairs:
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(H)
 
 
 def test_matvec_count_exact_estimate_mode():

@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 import rskrylov as rk
 from rskrylov import BandedQr, HessenbergQr, SingularTriangularError
 from rskrylov import hessenberg_qr
-from rskrylov.hessenberg_qr import HessenbergQrWithQ, solve_upper
+from rskrylov.hessenberg_qr import solve_upper
 
 
 def hessenberg_from_arnoldi(A, seed, steps):
@@ -323,12 +323,3 @@ def test_column_length_validation():
         with pytest.raises(ValueError, match="length 1, expected at least 2"):
             qr.solve(size, [1.0])
 
-
-def test_q_columns_tracked_with_the_factor():
-    rng = np.random.default_rng(11)
-    qr = HessenbergQrWithQ(1.0)
-    for k in range(1, 9):
-        qr.append_column(rng.standard_normal(k + 1))
-        Q = qr.q_matrix()
-        assert np.array_equal(qr.q_new_col, Q[:, k - 1])
-        assert np.array_equal(qr.q_last, Q[:, -1])

@@ -268,6 +268,7 @@ def test_errors_in_the_last_block_report_their_line(tmp_path):
     # that line alone.
     msg = error(lines[:k] + ["7 7 1_0.5"] + lines[k + 1 :])
     assert msg.startswith(f"{path}:{k + 1}: bad entry: ") and "'1_0.5'" in msg
+    assert "row 0" not in msg
     assert error(lines[:k] + lines[k + 1 :]) == (
         f"{path}: header announced 30000 entries, found 29999"
     )
