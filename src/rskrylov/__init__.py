@@ -8,8 +8,9 @@ terminal least squares iterate into the pseudoinverse solution, dense
 brute-force oracles, and deterministic problem generators.
 """
 
+import importlib
+
 from .arnoldi import ArnoldiState, ZeroSeedError, arnoldi_init, arnoldi_step
-from .cli import SOLVERS, cli_main
 from .gmres_family import dgmres_solve, gmres_solve, rrgmres_solve
 from .hessenberg_qr import BandedQr, HessenbergQr, SingularTriangularError
 from .history import read_history_csv, write_history_csv
@@ -55,6 +56,18 @@ from .problems import (
 from .rsmar import rsmar1_solve, rsmar2_solve
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The command line is imported on first use, so that ``python -m
+    # rskrylov.cli`` runs a module the package has not imported yet.  Its
+    # names are then bound here, and later lookups do not come back.
+    if name in ("cli", "SOLVERS", "cli_main"):
+        cli = importlib.import_module(".cli", __name__)
+        globals().update(SOLVERS=cli.SOLVERS, cli_main=cli.cli_main)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArnoldiState",

@@ -31,9 +31,13 @@ trailing comment.
 Numbers are read as numpy reads them, so Python-only spellings such as
 ``1_000`` are rejected.
 
-The writer formats every entry with the shortest decimal that
-round-trips (``repr``), so a write followed by a read reproduces the
-matrix bit for bit.
+The writer picks the layout from the values: a square matrix equal to
+its transpose bit for bit (stored zeros and signed zeros included) is
+written ``symmetric``, its entries on and below the diagonal alone, and
+any other matrix ``general``.  Every entry is formatted with the
+shortest decimal that round-trips (``repr``), so a write followed by a
+read reproduces the CSR matrix (duplicates summed, indices sorted) bit
+for bit.
 """
 
 from __future__ import annotations
@@ -290,24 +294,56 @@ def _raise_bad_line(path, block, lineno, n, error):
 
 
 def write_matrix_market(path, A, comment=None):
-    """Write a sparse (or dense) square matrix as coordinate real general."""
+    """Write a sparse (or dense) matrix as coordinate real entries.
+
+    A square matrix whose CSR form (duplicates summed, indices sorted)
+    equals its transpose bit for bit, stored zeros and the sign of zero
+    included, is written in the ``symmetric`` layout: its entries on and
+    below the diagonal, in row order.  Any other matrix is written in the
+    ``general`` layout, its entries in the order of ``coo_matrix(A)``.
+    """
     import scipy.sparse as sp
 
-    coo = sp.coo_matrix(A)
+    csr = sp.csr_matrix(A)
+    if not csr.has_canonical_format:
+        csr = csr.copy()  # sum the duplicates of a copy, not of A
+        csr.sum_duplicates()
+    if _is_symmetric(csr):
+        symmetry = "symmetric"
+        row = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        lower = csr.indices <= row
+        row, col, val = row[lower], csr.indices[lower], csr.data[lower]
+    else:
+        symmetry = "general"
+        coo = sp.coo_matrix(A)
+        row, col, val = coo.row, coo.col, coo.data
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
+        fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n")
         if comment:
             for line in str(comment).splitlines():
                 fh.write(f"% {line}\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
+        fh.write(f"{csr.shape[0]} {csr.shape[1]} {len(val)}\n")
         # One string per block of entries, so the Python objects of only
         # one block are alive at a time.
-        for start in range(0, coo.nnz, _WRITE_BLOCK):
+        for start in range(0, len(val), _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
-            rows = (coo.row[block].astype(np.int64) + 1).tolist()
-            cols = (coo.col[block].astype(np.int64) + 1).tolist()
-            vals = coo.data[block].astype(np.float64).tolist()
+            rows = (row[block].astype(np.int64) + 1).tolist()
+            cols = (col[block].astype(np.int64) + 1).tolist()
+            vals = val[block].astype(np.float64).tolist()
             fh.write("".join(f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, vals)))
+
+
+def _is_symmetric(csr):
+    """Whether the canonical CSR matrix ``csr`` is square and equal to its
+    transpose in its stored positions and in the bytes of its values."""
+    if csr.shape[0] != csr.shape[1]:
+        return False
+    t = csr.T.tocsr()  # sorted indices, as the conversion makes them
+    return (
+        np.array_equal(csr.indptr, t.indptr)
+        and np.array_equal(csr.indices, t.indices)
+        and csr.data.tobytes() == t.data.tobytes()
+    )
 
 
 def read_vector(path):

@@ -85,13 +85,20 @@ print(peak_bytes() - before, A.indptr.nbytes + A.indices.nbytes + A.data.nbytes)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_read_peak_memory_is_close_to_its_matrix(tmp_path):
-    # Parsed a block at a time into the arrays of the result, the 1.7 MB
-    # file costs about twice the CSR matrix at its peak (the triplets and
-    # the CSR arrays); parsed whole, it cost 6.5 times.
-    A = rk.make_bvp_matrix(rk.BvpSpec(m=150, d=0.0))
+@pytest.mark.parametrize(
+    "d, layout", [(0.0, "symmetric"), (10.0, "general")], ids=["symmetric", "general"]
+)
+def test_read_peak_memory_is_close_to_its_matrix(tmp_path, d, layout):
+    # Parsed a block at a time into the arrays of the result, the file
+    # costs about twice the CSR matrix at its peak (the triplets and the
+    # CSR arrays); parsed whole, the 1.7 MB general file cost 6.5 times.
+    # The symmetric grid (d = 0) is written in the symmetric layout, whose
+    # read mirrors the triplets; the general one stores every entry.
+    A = rk.make_bvp_matrix(rk.BvpSpec(m=150, d=d))
     rk.write_matrix_market(tmp_path / "grid.mtx", A)
     rk.write_matrix_market(tmp_path / "small.mtx", A[:2, :2])
+    with open(tmp_path / "grid.mtx") as fh:
+        assert fh.readline() == f"%%MatrixMarket matrix coordinate real {layout}\n"
     rise, matrix = map(int, run_python(READ_GRID, cwd=tmp_path).split())
     assert rise <= 2.5 * matrix
 

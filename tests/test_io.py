@@ -1,7 +1,10 @@
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +393,16 @@ def test_write_matches_golden_bytes(tmp_path):
     )
 
 
+def _assert_reads_back(path, A):
+    """The matrix read from ``path`` is the CSR ``A`` (duplicates summed,
+    indices sorted) bit for bit, stored zeros included."""
+    B = read_matrix_market(path)
+    assert B.shape == A.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert A.data.tobytes() == B.data.tobytes()
+
+
 def test_write_read_roundtrip_is_exact(tmp_path):
     import scipy.sparse as sp
 
@@ -398,11 +411,129 @@ def test_write_read_roundtrip_is_exact(tmp_path):
     A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-300, 300, A.nnz)
     path = tmp_path / "r.mtx"
     write_matrix_market(path, A)
-    B = read_matrix_market(path)
     A.sort_indices()
-    assert np.array_equal(A.indptr, B.indptr)
-    assert np.array_equal(A.indices, B.indices)
-    assert A.data.tobytes() == B.data.tobytes()
+    _assert_reads_back(path, A)
+
+
+def test_write_symmetric_matches_golden_bytes(tmp_path):
+    A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, 0.5, 1e-300]])
+    path = tmp_path / "s.mtx"
+    write_matrix_market(path, A, comment="symmetric")
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real symmetric\n"
+        b"% symmetric\n"
+        b"3 3 5\n"
+        b"1 1 2.0\n"
+        b"2 1 -1.0\n"
+        b"2 2 2.0\n"
+        b"3 2 0.5\n"
+        b"3 3 1e-300\n"
+    )
+    assert read_matrix_market(path).toarray().tolist() == A.tolist()
+
+
+def _sparse(n, entries):
+    """An ``n x n`` CSR matrix that stores exactly ``{(i, j): value}``."""
+    import scipy.sparse as sp
+
+    rows, cols = zip(*entries)
+    return sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(n, n))
+
+
+def test_write_symmetric_roundtrip_is_exact(tmp_path):
+    # values from 1e-300 to 1e300, and zeros of both signs stored in
+    # mirrored pairs, which keep the matrix symmetric
+    rng = np.random.default_rng(11)
+    n = 80
+    entries = {(i, i): v for i, v in enumerate(rng.standard_normal(n))}
+    for _ in range(300):
+        i, j = sorted(rng.integers(0, n, 2))
+        v = rng.standard_normal() * 10.0 ** rng.integers(-300, 301)
+        entries[i, j] = entries[j, i] = v
+    for i, j, zero in ((5, 2, 0.0), (40, 7, -0.0), (79, 0, 0.0)):
+        entries[i, j] = entries[j, i] = zero
+    A = _sparse(n, entries)
+    assert A.has_canonical_format and (A.data == 0).sum() == 6
+    path = tmp_path / "s.mtx"
+    write_matrix_market(path, A)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
+    assert lines[1] == f"{n} {n} {(A.nnz + n) // 2}"
+    _assert_reads_back(path, A)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 0): 1.0, (1, 1): 2.0, (2, 2): 3.0, (1, 2): 0.0},
+        {(0, 0): 1.0, (1, 1): 2.0, (2, 2): 3.0, (1, 2): 0.0, (2, 1): -0.0},
+        {(0, 1): 1.0, (1, 0): 1.0 + 2**-52},
+        {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0},
+    ],
+    ids=["zero-on-one-side", "signed-zeros", "last-bit", "cyclic"],
+)
+def test_write_nearly_symmetric_stays_general(tmp_path, entries):
+    A = _sparse(3, entries)
+    path = tmp_path / "g.mtx"
+    write_matrix_market(path, A)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+    assert lines[1] == f"3 3 {len(entries)}"
+    _assert_reads_back(path, A)
+
+
+def test_write_non_square_stays_general(tmp_path):
+    path = tmp_path / "g.mtx"
+    write_matrix_market(path, np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real general\n"
+        b"2 3 3\n"
+        b"1 1 1.0\n"
+        b"1 3 2.0\n"
+        b"2 2 3.0\n"
+    )
+
+
+def test_write_one_by_one_and_empty_matrices(tmp_path):
+    import scipy.sparse as sp
+
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, np.array([[-4.5]]))
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 -4.5\n"
+    )
+    assert read_matrix_market(path).toarray().tolist() == [[-4.5]]
+    write_matrix_market(path, sp.csr_matrix((3, 3)))
+    assert path.read_bytes() == b"%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n"
+    B = read_matrix_market(path)
+    assert B.shape == (3, 3) and B.nnz == 0
+
+
+def test_write_sums_duplicates_in_a_copy(tmp_path):
+    # (0, 1) is stored twice, in unsorted rows; summed, the matrix is
+    # symmetric, and the matrix passed in keeps its own arrays
+    import scipy.sparse as sp
+
+    A = sp.csr_matrix(
+        (
+            np.array([2.0, 1.0, 1.0, 3.0, 1.0]),
+            np.array([1, 0, 1, 0, 1]),
+            np.array([0, 3, 5]),
+        ),
+        shape=(2, 2),
+    )
+    arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    path = tmp_path / "d.mtx"
+    write_matrix_market(path, A)
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real symmetric\n"
+        b"2 2 3\n"
+        b"1 1 1.0\n"
+        b"2 1 3.0\n"
+        b"2 2 1.0\n"
+    )
+    for before, after in zip(arrays, (A.data, A.indices, A.indptr)):
+        assert np.array_equal(before, after)
 
 
 def test_vector_roundtrip(tmp_path):
@@ -559,6 +690,22 @@ def test_cli_generate_solve_check(tmp_path):
     assert rc == 0
     rc = cli_main(["check", "--matrix", str(mtx), "--rhs", "ones"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("module", ["rskrylov", "rskrylov.cli"])
+def test_python_m_runs_the_cli_without_a_warning(module):
+    # the package imports its command line lazily, so running the module
+    # finds it not yet imported
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(rk.__file__).resolve().parents[1])},
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("usage: rskrylov ")
 
 
 def test_cli_solve_identity_converges_first_iteration(tmp_path, capsys):
